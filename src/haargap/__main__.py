@@ -1,0 +1,6 @@
+"""Run the command-line interface: ``python -m haargap ...``."""
+
+from .cli import console_entry
+
+if __name__ == "__main__":
+    console_entry()

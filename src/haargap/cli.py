@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -38,7 +40,6 @@ from .roots import (
     build_type_a,
     dominant_representative,
     is_regular,
-    weyl_orbit,
 )
 from .supports import (
     CapacityError,
@@ -118,9 +119,13 @@ def _cmd_roots(args) -> int:
     if direction is not None:
         if direction.n != rs.n:
             raise ValueError(f"direction has {direction.n} coordinates, expected {rs.n}")
-        orbit = weyl_orbit(direction)
+        # the orbit is the distinct coordinate permutations: n! / prod(m!) over
+        # coordinate multiplicities m, counted without listing them
+        orbit_size = math.factorial(direction.n)
+        for m in Counter(direction.coords).values():
+            orbit_size //= math.factorial(m)
         results["direction"] = [_frac(c) for c in direction.coords]
-        results["weyl_orbit_size"] = len(orbit)
+        results["weyl_orbit_size"] = orbit_size
         results["dominant_representative"] = [
             _frac(c) for c in dominant_representative(direction).coords
         ]

@@ -252,8 +252,8 @@ def rigidity_problem(
             raise CapacityError(
                 f"generic support enumeration is limited to n <= {GENERIC_MAX_N}, got n={n}"
             )
-        supports = tuple(enumerate_symmetric_closed(build_type_a(n)))
         rs = build_type_a(n)
+        supports = tuple(enumerate_symmetric_closed(rs))
     elif lattice == LATTICE_INNER:
         supports = tuple(enumerate_block_partitions(n, max_n=INNER_MAX_N))
         rs = build_type_a(n)

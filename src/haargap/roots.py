@@ -25,9 +25,6 @@ class Root:
     j: int
     vector: tuple[Fraction, ...]
 
-    def negated_pair(self) -> tuple[int, int]:
-        return (self.j, self.i)
-
 
 @dataclass(frozen=True)
 class CartanElement:
@@ -96,15 +93,6 @@ class RootSystem:
                 elif rb.j == ra.i and rb.i != ra.j:
                     sums[(a, b)] = self.index_of[(rb.i, ra.j)]
         self.sum_index: dict[tuple[int, int], int] = sums
-        # unordered chain triples (pair bitmask, forced-sum bit), for closure scans
-        triples: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for (a, b), c in sums.items():
-            key2 = (min(a, b), max(a, b))
-            if key2 not in seen:
-                seen.add(key2)
-                triples.append(((1 << a) | (1 << b), 1 << c))
-        self.chain_triples: tuple[tuple[int, int], ...] = tuple(triples)
 
     def __len__(self) -> int:
         return len(self.roots)

@@ -1,9 +1,11 @@
 """Enumeration of admissible ergodic-component supports.
 
 A support is a subset R of the root set that is symmetric (R = -R) and closed
-under root addition.  Two enumerations are provided: an exhaustive one over
-symmetric bitmasks with a direct closure filter, and a combinatorial one that
-produces the supports attached to equal-size block partitions of {1..n}.
+under root addition.  In type A such a set is exactly an equivalence relation
+on {1..n}: ±α_ij ∈ R means i ~ j, and closure under α_ik + α_kj = α_ij is
+transitivity.  So every support is the set of within-block roots of a set
+partition of {1..n}, and both enumerations walk set partitions: all of them
+for the generic lattice, those with equal-size blocks for inner forms.
 """
 
 from __future__ import annotations
@@ -54,63 +56,80 @@ def is_symmetric_mask(rs: RootSystem, mask: int) -> bool:
 
 
 def closure_of(rs: RootSystem, mask: int) -> int:
-    """Smallest addition-closed superset: repeatedly add forced sums."""
-    closed = mask
-    changed = True
-    while changed:
-        changed = False
-        for pair, forced in rs.chain_triples:
-            if closed & pair == pair and not closed & forced:
-                closed |= forced
-                changed = True
+    """Smallest addition-closed superset: α_ik and α_kj force α_ij when i != j.
+
+    This is the transitive closure of the index pairs, built one pivot k at a
+    time (Warshall).
+    """
+    pairs = {(rs.roots[b].i, rs.roots[b].j) for b in support_indices(mask)}
+    for k in range(1, rs.n + 1):
+        into = [i for i, m in pairs if m == k]
+        out = [j for m, j in pairs if m == k]
+        pairs.update((i, j) for i in into for j in out if i != j)
+    closed = 0
+    for pair in pairs:
+        closed |= 1 << rs.index_of[pair]
     return closed
 
 
-def _blocks_of_mask(rs: RootSystem, mask: int) -> tuple[tuple[int, ...], ...] | None:
-    """Recover the set partition of {1..n} whose block supports give this mask.
+def _set_partitions(n: int, max_blocks: int, max_size: int):
+    """Set partitions of {1..n} into at most max_blocks blocks of at most max_size.
 
-    Returns None when the mask is not exactly a union of within-block roots.
+    Restricted-growth depth-first walk: each element joins an open block with
+    room or opens a new block.  Blocks come out ascending, ordered by their
+    smallest element.
     """
-    n = rs.n
-    parent = list(range(n + 1))
+    blocks: list[list[int]] = []
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def place(x: int):
+        if x > n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            if len(b) < max_size:
+                b.append(x)
+                yield from place(x + 1)
+                b.pop()
+        if len(blocks) < max_blocks:
+            blocks.append([x])
+            yield from place(x + 1)
+            blocks.pop()
 
-    for k in support_indices(mask):
-        r = rs.roots[k]
-        parent[find(r.i)] = find(r.j)
-    blocks: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        blocks.setdefault(find(x), []).append(x)
-    ordered = tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
-    rebuilt = 0
-    for block in ordered:
+    yield from place(1)
+
+
+def _support_of_blocks(rs: RootSystem, blocks) -> SupportSet:
+    """The support made of all roots inside the blocks, with its label and kind."""
+    mask = 0
+    for block in blocks:
         for i, j in itertools.permutations(block, 2):
-            rebuilt |= 1 << rs.index_of[(i, j)]
-    if rebuilt != mask:
-        return None
-    return ordered
+            mask |= 1 << rs.index_of[(i, j)]
+    nontrivial = [b for b in blocks if len(b) > 1]
+    if not nontrivial:
+        return SupportSet(0, "∅", KIND_EMPTY)
+    if len(blocks) == 1:
+        return SupportSet(mask, "Δ", KIND_FULL)
+    if len(nontrivial) == 1 and len(nontrivial[0]) == 2:
+        i, j = nontrivial[0]
+        return SupportSet(mask, f"{{±α_{i}{j}}}", KIND_PAIR)
+    label = "blocks " + "".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
+    return SupportSet(mask, label, KIND_BLOCK)
 
 
 def make_support(rs: RootSystem, mask: int) -> SupportSet:
-    """Attach a canonical label and kind to a mask."""
-    if mask == 0:
-        return SupportSet(0, "∅", KIND_EMPTY)
-    if mask == rs.full_mask():
-        return SupportSet(mask, "Δ", KIND_FULL)
+    """Attach a canonical label and kind to a mask.
+
+    Each index's partners {i} ∪ {j : α_ij ∈ mask} are its candidate block; the
+    mask is admissible exactly when those blocks rebuild it.  Any other mask
+    is labelled by its positive roots and has kind `other`.
+    """
+    partners = {i: {i} for i in range(1, rs.n + 1)}
     idx = support_indices(mask)
-    if len(idx) == 2 and is_symmetric_mask(rs, mask):
-        r = rs.roots[idx[0]]
-        i, j = min(r.i, r.j), max(r.i, r.j)
-        return SupportSet(mask, f"{{±α_{i}{j}}}", KIND_PAIR)
-    blocks = _blocks_of_mask(rs, mask) if is_symmetric_mask(rs, mask) else None
-    if blocks is not None:
-        label = "blocks " + "".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
-        return SupportSet(mask, label, KIND_BLOCK)
+    for k in idx:
+        partners[rs.roots[k].i].add(rs.roots[k].j)
+    support = _support_of_blocks(rs, sorted({tuple(sorted(p)) for p in partners.values()}))
+    if support.mask == mask:
+        return support
     pos = [rs.roots[k] for k in idx if rs.roots[k].i < rs.roots[k].j]
     label = "{" + ", ".join(f"±α_{r.i}{r.j}" for r in pos) + "}"
     return SupportSet(mask, label, KIND_OTHER)
@@ -126,8 +145,8 @@ def is_admissible(rs: RootSystem, R: SupportSet) -> bool:
 def enumerate_symmetric_closed(rs: RootSystem) -> list[SupportSet]:
     """All symmetric, addition-closed subsets of the root set.
 
-    Exhaustive scan over the 2^|Δ⁺| symmetric masks with a direct closure
-    filter; ordered by popcount then mask value, so ∅ comes first and Δ last.
+    One per set partition of {1..n}, so Bell(n) of them; ordered by root
+    count then mask value, so ∅ comes first and Δ last.
     """
     npos = len(rs.positive_indices)
     if npos > GENERIC_POSITIVE_ROOT_LIMIT:
@@ -135,41 +154,9 @@ def enumerate_symmetric_closed(rs: RootSystem) -> list[SupportSet]:
             f"root system has {npos} positive roots; generic enumeration is "
             f"limited to {GENERIC_POSITIVE_ROOT_LIMIT}"
         )
-    pos = rs.positive_indices
-    neg = [rs.negation[k] for k in pos]
-    triples = rs.chain_triples
-    found: list[int] = []
-    for choice in range(1 << npos):
-        mask = 0
-        c = choice
-        while c:
-            low = c & -c
-            b = low.bit_length() - 1
-            mask |= (1 << pos[b]) | (1 << neg[b])
-            c ^= low
-        ok = True
-        for pair, forced in triples:
-            if mask & pair == pair and not mask & forced:
-                ok = False
-                break
-        if ok:
-            found.append(mask)
-    found.sort(key=lambda m: (m.bit_count(), m))
-    return [make_support(rs, m) for m in found]
-
-
-def _equal_size_partitions(elements: tuple[int, ...], k: int):
-    """Partitions of `elements` into blocks of size k, in lexicographic order."""
-    if not elements:
-        yield ()
-        return
-    first, rest = elements[0], elements[1:]
-    for combo in itertools.combinations(rest, k - 1):
-        block = (first,) + combo
-        taken = set(combo)
-        remaining = tuple(x for x in rest if x not in taken)
-        for tail in _equal_size_partitions(remaining, k):
-            yield (block,) + tail
+    found = [_support_of_blocks(rs, blocks) for blocks in _set_partitions(rs.n, rs.n, rs.n)]
+    found.sort(key=lambda s: (s.mask.bit_count(), s.mask))
+    return found
 
 
 def enumerate_block_partitions(n: int, max_n: int = BLOCK_PARTITION_DEFAULT_LIMIT) -> list[SupportSet]:
@@ -183,15 +170,10 @@ def enumerate_block_partitions(n: int, max_n: int = BLOCK_PARTITION_DEFAULT_LIMI
     if n > max_n:
         raise CapacityError(f"n={n} exceeds the block-partition enumeration limit of {max_n}")
     rs = build_type_a(n)
-    elements = tuple(range(1, n + 1))
     out: list[SupportSet] = []
     for k in range(1, n + 1):
-        if n % k != 0:
-            continue
-        for blocks in _equal_size_partitions(elements, k):
-            mask = 0
-            for block in blocks:
-                for i, j in itertools.permutations(block, 2):
-                    mask |= 1 << rs.index_of[(i, j)]
-            out.append(make_support(rs, mask))
+        if n % k == 0:
+            # n // k blocks of at most k elements hold all n only when every block
+            # is full; the walk's order is not lexicographic, hence the sort
+            out += [_support_of_blocks(rs, b) for b in sorted(_set_partitions(n, n // k, k))]
     return out

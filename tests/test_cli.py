@@ -1,7 +1,12 @@
 """CLI surface: subcommands, exact JSON payloads, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import haargap
 from haargap import cli
 
 
@@ -127,6 +132,26 @@ def test_roots_payload(capsys):
     assert results["num_positive"] == 3
     assert results["weyl_orbit_size"] == 3
     assert results["is_regular"] is False
+
+
+def test_roots_orbit_size_of_regular_direction_n10(capsys):
+    # 10! orbit elements: the size must come without listing them
+    code, payload = run_json(
+        capsys, ["roots", "--n", "10", "--direction=9,7,5,3,1,-1,-3,-5,-7,-9"]
+    )
+    assert code == 0
+    assert payload["results"]["weyl_orbit_size"] == 3628800
+    assert payload["results"]["is_regular"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(haargap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "haargap", "roots", "--n", "3"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["num_roots"] == 6
 
 
 def test_supports_payload(capsys):

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haargap.roots import build_type_a
 from haargap.supports import (
@@ -18,11 +20,26 @@ from haargap.supports import (
 )
 
 
-def independent_symmetric_closed_count(n: int) -> int:
-    """Brute-force filter over all symmetric masks, built from raw vectors only."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+def _index_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def _is_closed(members: set) -> bool:
+    """Closed under root addition: (e_a - e_b) + (e_b - e_d) is a root when a != d."""
+    return all(
+        (a, d) in members for (a, b) in members for (c, d) in members if b == c and a != d
+    )
+
+
+def independent_symmetric_closed_masks(n: int) -> list[int]:
+    """Brute-force filter over all symmetric masks, built from raw vectors only.
+
+    Pairs are indexed in lexicographic (i, j) order and the masks sorted by
+    root count then value, the order enumerate_symmetric_closed promises.
+    """
+    pairs = _index_pairs(n)
     index = {p: k for k, p in enumerate(pairs)}
-    count = 0
+    found = []
     positives = [(i, j) for (i, j) in pairs if i < j]
     for keep in itertools.product((0, 1), repeat=len(positives)):
         chosen = {p for p, flag in zip(positives, keep) if flag}
@@ -30,17 +47,9 @@ def independent_symmetric_closed_count(n: int) -> int:
         for i, j in chosen:
             members.add((i, j))
             members.add((j, i))
-        closed = True
-        for (a, b) in members:
-            for (c, d) in members:
-                if b == c and a != d and (a, d) not in members:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            count += 1
-    return count
+        if _is_closed(members):
+            found.append(sum(1 << index[p] for p in members))
+    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 def test_a2_supports_exactly_five():
@@ -75,10 +84,6 @@ def test_a3_supports_fifteen_with_structure():
     assert sizes == [0] + [2] * 6 + [4] * 3 + [6] * 4 + [12]
 
 
-def test_a3_count_matches_independent_filter():
-    assert len(enumerate_symmetric_closed(build_type_a(4))) == independent_symmetric_closed_count(4)
-
-
 @pytest.mark.parametrize("n,bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
 def test_symmetric_closed_counts_are_bell_numbers(n, bell):
     # admissible supports correspond to set partitions of {1..n}: i ~ j iff
@@ -86,8 +91,10 @@ def test_symmetric_closed_counts_are_bell_numbers(n, bell):
     assert len(enumerate_symmetric_closed(build_type_a(n))) == bell
 
 
-def test_a2_count_matches_independent_filter():
-    assert len(enumerate_symmetric_closed(build_type_a(3))) == independent_symmetric_closed_count(3)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_symmetric_closed_matches_independent_filter(n):
+    got = [s.mask for s in enumerate_symmetric_closed(build_type_a(n))]
+    assert got == independent_symmetric_closed_masks(n)
 
 
 def test_enumeration_is_deterministic_and_ordered():
@@ -135,6 +142,15 @@ def test_block_partition_counts_match_formula(n):
         assert by_block_count[k] == expected
         total += expected
     assert len(got) == total
+    # within each block size the block lists come out in lexicographic order
+    block_lists: dict[int, list] = {}
+    for s in got:
+        if s.kind == "block-partition":
+            text = s.label.removeprefix("blocks {").removesuffix("}")
+            blocks = [tuple(map(int, b.split(","))) for b in text.split("}{")]
+            block_lists.setdefault(len(blocks[0]), []).append(blocks)
+    for seq in block_lists.values():
+        assert seq == sorted(seq)
 
 
 def test_block_partitions_input_validation():
@@ -157,11 +173,18 @@ def test_block_partitions_are_admissible(n):
         assert is_admissible(rs, s)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 7))
 def test_block_partitions_subset_of_generic(n):
-    generic = {s.mask for s in enumerate_symmetric_closed(build_type_a(n))}
-    blocks = {s.mask for s in enumerate_block_partitions(n)}
-    assert blocks <= generic
+    # exactly the generic supports in which every index has the same number of partners
+    rs = build_type_a(n)
+    uniform = set()
+    for s in enumerate_symmetric_closed(rs):
+        partners = [0] * (n + 1)
+        for k in support_indices(s.mask):
+            partners[rs.roots[k].i] += 1
+        if len(set(partners[1:])) == 1:
+            uniform.add(s.mask)
+    assert {s.mask for s in enumerate_block_partitions(n)} == uniform
 
 
 def test_is_admissible_examples():
@@ -197,3 +220,33 @@ def test_make_support_labels_unicode_cases():
     three_one = enumerate_symmetric_closed(rs)[10]
     assert three_one.kind == "block-partition"
     assert three_one.label.startswith("blocks {")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1)) - 1))
+    )
+)
+def test_closure_and_admissibility_match_raw_vectors(case):
+    n, mask = case
+    rs = build_type_a(n)
+    pairs = _index_pairs(n)
+    members = {p for k, p in enumerate(pairs) if mask >> k & 1}
+    closed = closure_of(rs, mask)
+    closure = {p for k, p in enumerate(pairs) if closed >> k & 1}
+    assert members <= closure and _is_closed(closure)
+    # smallest: every added pair is forced, in some order, by pairs already present
+    derived = set(members)
+    pending = closure - members
+    while pending:
+        forced = {
+            (a, d)
+            for (a, d) in pending
+            if any((a, b) in derived and (b, d) in derived for b in range(1, n + 1))
+        }
+        assert forced, f"pairs {sorted(pending)} are not forced by {sorted(members)}"
+        derived |= forced
+        pending -= forced
+    symmetric = all((j, i) in members for i, j in members)
+    assert is_admissible(rs, SupportSet(mask, "probe", "other")) == (symmetric and _is_closed(members))
