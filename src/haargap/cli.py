@@ -409,3 +409,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

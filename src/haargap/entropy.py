@@ -2,12 +2,14 @@
 
 Everything here is exact: inputs are rational Cartan elements and outputs are
 Fractions.  The flow direction X has Lyapunov exponents alpha(X) with alpha
-running over the roots; the key quantities are
+running over the roots.  SL_n is split, so every root space is a line (all
+multiplicities are 1) and each root counts once in the sums.  The key
+quantities are
 
-* the Haar entropy  sum over all roots of m_alpha * max(alpha(X), 0),
+* the Haar entropy  sum over all roots of max(alpha(X), 0),
 * the proved entropy lower bound  sum over roots with alpha(X) >= chi_max/2
-  of m_alpha * (alpha(X) - chi_max/2), where chi_max is the top exponent,
-* per-support entropy caps  sum over alpha in R of m_alpha * max(alpha(X), 0),
+  of (alpha(X) - chi_max/2), where chi_max is the top exponent,
+* per-support entropy caps  sum over alpha in R of max(alpha(X), 0),
 * the split of exponents into slow (< 1/(2K)) and fast (>= 1/(2K)) ones for a
   log-time horizon constant K, and the resulting net power of the semiclassical
   parameter in the dispersive estimate.
@@ -42,8 +44,8 @@ class LyapunovSpectrum:
 class FastSlowSplit:
     """Partition of the positive spectrum at the threshold 1/(2K).
 
-    Slow means strictly below the threshold; J0 is the slow dimension
-    (multiplicities counted).  Indices refer to the sorted spectrum.
+    Slow means strictly below the threshold; J0 is the slow dimension.
+    Indices refer to the sorted spectrum.
     """
 
     threshold: Fraction
@@ -67,13 +69,9 @@ class DispersiveQuery:
 
 
 def lyapunov_spectrum(rs: RootSystem, X: CartanElement) -> LyapunovSpectrum:
-    """Positive-root exponents of the dominant representative of X, with multiplicity."""
+    """Positive-root exponents of the dominant representative of X, one per root."""
     Xd = dominant_representative(X)
-    values: list[Fraction] = []
-    for k in rs.positive_indices:
-        v = evaluate_root(rs, rs.roots[k], Xd)
-        values.extend([v] * rs.multiplicities[k])
-    values.sort()
+    values = sorted(evaluate_root(rs, rs.roots[k], Xd) for k in rs.positive_indices)
     chi_max = values[-1] if values else Fraction(0)
     return LyapunovSpectrum(tuple(values), chi_max, Xd)
 
@@ -81,17 +79,17 @@ def lyapunov_spectrum(rs: RootSystem, X: CartanElement) -> LyapunovSpectrum:
 def haar_entropy(rs: RootSystem, X: CartanElement) -> Fraction:
     """Entropy of Haar measure under e^X: sum of positive parts over all roots."""
     total = Fraction(0)
-    for k, root in enumerate(rs.roots):
+    for root in rs.roots:
         v = evaluate_root(rs, root, X)
         if v > 0:
-            total += rs.multiplicities[k] * v
+            total += v
     return total
 
 
 def entropy_lower_bound(rs: RootSystem, X: CartanElement) -> Fraction:
     """Proved entropy floor for the flow in direction X.
 
-    Sums m_alpha * (alpha(X) - chi_max/2) over exponents with
+    Sums alpha(X) - chi_max/2 over exponents with
     alpha(X) >= chi_max/2; the comparison is closed, so ties are kept.
     X is dominantized internally.  Zero for X = 0.
     """
@@ -122,7 +120,7 @@ def component_entropy_cap(rs: RootSystem, R: SupportSet, X: CartanElement) -> Fr
     for k in support_indices(mask):
         v = evaluate_root(rs, rs.roots[k], X)
         if v > 0:
-            total += rs.multiplicities[k] * v
+            total += v
     return total
 
 

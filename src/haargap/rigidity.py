@@ -99,11 +99,7 @@ def _positive_part_numerators(rs: RootSystem, X: CartanElement) -> tuple[list[in
     """Integerize max(alpha(X), 0) over all roots: values are nums/denom."""
     denom = math.lcm(*(c.denominator for c in X.coords))
     scaled = [int(c * denom) for c in X.coords]
-    nums = []
-    for k, root in enumerate(rs.roots):
-        v = scaled[root.i - 1] - scaled[root.j - 1]
-        nums.append(rs.multiplicities[k] * v if v > 0 else 0)
-    return nums, denom
+    return [max(scaled[r.i - 1] - scaled[r.j - 1], 0) for r in rs.roots], denom
 
 
 def build_lp(problem: RigidityProblem) -> LPModel:

@@ -13,6 +13,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
+# Largest n for which a root system is built: n(n-1) roots, each with an
+# n-entry vector, so the build is O(n^3) in time and memory.
+ROOT_SYSTEM_MAX_N = 64
+
+
+class CapacityError(Exception):
+    """Raised when a requested size exceeds its configured limit."""
+
+
 def _as_fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
@@ -62,11 +71,12 @@ def cartan(*coords) -> CartanElement:
 
 
 class RootSystem:
-    """The A_{n-1} root system of SL_n with its addition and negation tables.
+    """The A_{n-1} root system of SL_n with its index and negation tables.
 
     Roots are ordered lexicographically by their index pair (i, j), i != j,
     1-based; this order is deterministic, so bitmasks over root indices are
-    reproducible across runs.  All multiplicities are 1 (split case).
+    reproducible across runs.  SL_n is split, so every root has multiplicity 1
+    and sums over roots carry no weights.
     """
 
     def __init__(self, n: int, roots: Sequence[Root]):
@@ -79,20 +89,9 @@ class RootSystem:
         self.positive_indices: tuple[int, ...] = tuple(
             k for k, r in enumerate(self.roots) if r.i < r.j
         )
-        self.multiplicities: dict[int, int] = {k: 1 for k in range(len(self.roots))}
         self.negation: tuple[int, ...] = tuple(
             self.index_of[(r.j, r.i)] for r in self.roots
         )
-        # sum table: (a, b) -> index of roots[a] + roots[b] when that sum is a root,
-        # i.e. when the index pairs chain in either order
-        sums: dict[tuple[int, int], int] = {}
-        for a, ra in enumerate(self.roots):
-            for b, rb in enumerate(self.roots):
-                if ra.j == rb.i and ra.i != rb.j:
-                    sums[(a, b)] = self.index_of[(ra.i, rb.j)]
-                elif rb.j == ra.i and rb.i != ra.j:
-                    sums[(a, b)] = self.index_of[(rb.i, ra.j)]
-        self.sum_index: dict[tuple[int, int], int] = sums
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -114,10 +113,15 @@ class RootSystem:
 def build_type_a(n: int) -> RootSystem:
     """Construct the A_{n-1} root system for SL_n.
 
-    Raises ValueError for n < 2.
+    Raises ValueError for n < 2 and CapacityError above ROOT_SYSTEM_MAX_N,
+    before anything is built.
     """
     if n < 2:
         raise ValueError(f"invalid dimension n={n}; the root system needs n >= 2")
+    if n > ROOT_SYSTEM_MAX_N:
+        raise CapacityError(
+            f"root systems are limited to n <= {ROOT_SYSTEM_MAX_N}, got n={n}"
+        )
     roots = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .roots import RootSystem, build_type_a
+from .roots import CapacityError, RootSystem, build_type_a
 
 GENERIC_POSITIVE_ROOT_LIMIT = 15
 BLOCK_PARTITION_DEFAULT_LIMIT = 12
@@ -24,10 +24,6 @@ KIND_PAIR = "pair"
 KIND_BLOCK = "block-partition"
 KIND_FULL = "full"
 KIND_OTHER = "other"
-
-
-class CapacityError(Exception):
-    """Raised when an enumeration exceeds its configured size limit."""
 
 
 @dataclass(frozen=True)

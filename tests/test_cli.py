@@ -146,12 +146,13 @@ def test_roots_orbit_size_of_regular_direction_n10(capsys):
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(haargap.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "haargap", "roots", "--n", "3"],
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["results"]["num_roots"] == 6
+    for module in ("haargap", "haargap.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "roots", "--n", "3"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["num_roots"] == 6, module
 
 
 def test_supports_payload(capsys):
@@ -180,6 +181,13 @@ def test_capacity_exit_code(capsys):
     assert "capacity" in capsys.readouterr().err
     code = cli.main(["supports", "--n", "7", "--lattice", "generic"])
     assert code == 3
+    # one past the root-system dimension limit
+    n = "65"
+    for argv in (["roots", "--n", n],
+                 ["spectrum", "--n", n, "--direction", "1,0,-1"],
+                 ["bound", "--n", n, "--direction", "1,0,-1"]):
+        assert cli.main(argv) == 3
+        assert "n <= 64" in capsys.readouterr().err
 
 
 def test_beta_out_of_range_is_invalid_input(capsys):

@@ -37,6 +37,7 @@ def test_operator_norm_rectangular_and_zero():
     expected = np.linalg.svd(M, compute_uv=False)[0]
     assert operator_norm(M) == pytest.approx(float(expected), rel=1e-8)
     assert operator_norm(np.zeros((4, 7))) == 0.0
+    assert operator_norm(np.zeros((0, 3))) == 0.0
 
 
 def test_operator_norm_scaling_and_triangle():
@@ -154,3 +155,29 @@ def test_validation_suite_passes_and_is_seeded():
     assert summary["seed"] == 0
     again = run_validation_suite(seed=0)
     assert summary["checks"] == again["checks"]
+
+
+def _gram_norm(M):
+    return math.sqrt(max(np.linalg.eigvalsh(M.conj().T @ M)[-1], 0.0))
+
+
+def test_cotlar_cross_norms_match_per_pair_oracle():
+    # batched SVDs against one Gram eigensolve per pair, on tall and wide families
+    signs = set()
+    for fam in seeded_family_corpus(seed=0, count=10):
+        members = fam.members
+        rows, cols = fam.shape
+        signs.add(np.sign(rows - cols))
+        R1 = max(sum(math.sqrt(_gram_norm(a.conj().T @ b)) for b in members) for a in members)
+        R2 = max(sum(math.sqrt(_gram_norm(a @ b.conj().T)) for b in members) for a in members)
+        check = cotlar_bound_check(fam)
+        assert check.R1 == pytest.approx(R1, rel=1e-12)
+        assert check.R2 == pytest.approx(R2, rel=1e-12)
+        assert check.lhs == pytest.approx(_gram_norm(sum(members)), rel=1e-12)
+        assert check.trivial_sum == pytest.approx(sum(map(_gram_norm, members)), rel=1e-12)
+    assert {-1, 1} <= signs
+
+
+def test_cotlar_rejects_non_finite_family():
+    with pytest.raises(ValueError, match="non-finite"):
+        cotlar_bound_check(MatrixFamily((np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]]))))

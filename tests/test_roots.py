@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from haargap import supports
 from haargap.roots import (
+    ROOT_SYSTEM_MAX_N,
+    CapacityError,
     apply_permutation,
     build_type_a,
     cartan,
@@ -145,7 +148,8 @@ def test_positive_root_sum_is_twice_rho(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_root_addition_closure_table(n):
-    # alpha + beta is a root iff the index pairs chain; checked by raw vector sums
+    # alpha + beta is a root iff the index pairs chain; checked by raw vector
+    # sums, and the closure of {alpha, beta} adds exactly that root
     rs = build_type_a(n)
     vectors = {r.vector: k for k, r in enumerate(rs.roots)}
     for a, ra in enumerate(rs.roots):
@@ -153,5 +157,15 @@ def test_root_addition_closure_table(n):
             vec = tuple(x + y for x, y in zip(ra.vector, rb.vector))
             expected = vectors.get(vec)
             chained = (ra.j == rb.i and ra.i != rb.j) or (rb.j == ra.i and rb.i != ra.j)
-            assert rs.sum_index.get((a, b)) == expected
             assert (expected is not None) == chained
+            pair = (1 << a) | (1 << b)
+            added = 0 if expected is None else 1 << expected
+            assert supports.closure_of(rs, pair) == pair | added
+
+
+def test_build_type_a_dimension_limit():
+    # one past the limit fails, with the error class the support enumerators raise
+    assert supports.CapacityError is CapacityError
+    assert len(build_type_a(ROOT_SYSTEM_MAX_N).roots) == 64 * 63
+    with pytest.raises(CapacityError, match="n <= 64"):
+        build_type_a(ROOT_SYSTEM_MAX_N + 1)
