@@ -28,7 +28,6 @@ from .supports import (
     SupportSet,
     enumerate_block_partitions,
     enumerate_symmetric_closed,
-    support_indices,
 )
 
 BOUND_HAAR_FRACTION = "haar-fraction"
@@ -127,19 +126,32 @@ def build_lp(problem: RigidityProblem) -> LPModel:
         if X.is_zero():
             raise ValueError("test directions must be nonzero")
 
-    index_lists = [support_indices(s.mask) for s in supports]
+    masks = [s.mask for s in supports]
     rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
     for X in problem.test_directions:
         nums, denom = _positive_part_numerators(rs, X)
-        row = tuple(
-            Fraction(sum(nums[i] for i in idx), denom) for idx in index_lists
-        )
+        # plane b is the mask of roots whose numerator has bit b set, so a
+        # support's cap numerator is the sum over b of its popcount in plane b
+        planes = [
+            (b, sum(1 << k for k, v in enumerate(nums) if v >> b & 1))
+            for b in range(max(nums).bit_length())
+        ]
+        caps: dict[int, Fraction] = {}
+        row = []
+        for mask in masks:
+            total = 0
+            for b, plane in planes:
+                total += (mask & plane).bit_count() << b
+            cap = caps.get(total)
+            if cap is None:
+                cap = caps[total] = Fraction(total, denom)
+            row.append(cap)
         if problem.bound_mode == BOUND_HAAR_FRACTION:
             bound = problem.beta * haar_entropy(rs, X)
         else:
             bound = entropy_lower_bound(rs, X)
-        rows.append(row)
+        rows.append(tuple(row))
         rhs.append(bound)
 
     objective = tuple(
@@ -154,8 +166,9 @@ def _dedup_columns(model: LPModel):
     groups: dict[tuple, int] = {}
     rep_of: list[int] = []
     reps: list[int] = []
-    for j in range(len(model.variables)):
-        key = (model.objective[j],) + tuple(row[j] for row in model.ge_rows)
+    for j, column in enumerate(zip(model.objective, *model.ge_rows)):
+        # integer pairs hash in C; a Fraction hashes in Python
+        key = tuple((v.numerator, v.denominator) for v in column)
         g = groups.get(key)
         if g is None:
             g = len(reps)
@@ -213,13 +226,14 @@ def verify_solution(model: LPModel, solution: LPSolution) -> bool:
     w = [solution.weights[s] for s in model.supports]
     if any(v < 0 for v in w):
         return False
-    if sum(w, _ZERO) != 1:
+    # every weight is now >= 0, so only the positive ones contribute
+    live = [(j, v) for j, v in enumerate(w) if v]
+    if sum((v for _, v in live), _ZERO) != 1:
         return False
     for row, bound in zip(model.ge_rows, model.ge_rhs):
-        total = sum((cap * wi for cap, wi in zip(row, w) if wi), _ZERO)
-        if total < bound:
+        if sum((row[j] * v for j, v in live), _ZERO) < bound:
             return False
-    value = sum((cj * wi for cj, wi in zip(model.objective, w) if wi), _ZERO)
+    value = sum((model.objective[j] * v for j, v in live), _ZERO)
     return value == solution.optimum
 
 

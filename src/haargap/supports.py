@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .roots import CapacityError, RootSystem, build_type_a
 
@@ -35,7 +34,6 @@ class SupportSet:
     kind: str
 
 
-@lru_cache(maxsize=None)
 def support_indices(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of a mask, ascending."""
     out = []

@@ -1,14 +1,20 @@
 """The Haar-weight linear program: model construction, exact solving, theorems."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from haargap.entropy import component_entropy_cap, haar_entropy
 from haargap.rigidity import (
+    BOUND_MODES,
     BOUND_THM14,
     LPModel,
     RigidityProblem,
+    _dedup_columns,
+    _positive_part_numerators,
     build_lp,
     default_test_directions,
     extremal_vertex_report,
@@ -19,8 +25,8 @@ from haargap.rigidity import (
     solve_min_haar,
     verify_solution,
 )
-from haargap.roots import build_type_a, cartan, weyl_orbit
-from haargap.supports import CapacityError, enumerate_symmetric_closed, make_support
+from haargap.roots import CartanElement, build_type_a, cartan, weyl_orbit
+from haargap.supports import CapacityError, SupportSet, enumerate_symmetric_closed, make_support
 from util import brute_force_lp_minimum
 
 
@@ -38,13 +44,54 @@ def test_build_lp_sl3_shape_and_first_constraint():
     assert model.ge_rhs[0] == 3
 
 
-def test_build_lp_rows_match_entropy_caps():
-    rs = build_type_a(4)
-    problem = rigidity_problem(4, "generic", F(1, 2))
+@st.composite
+def rational_directions(draw, n: int, max_denominator: int):
+    """Nonzero trace-zero directions with independent rational coordinates."""
+    coords = [
+        F(draw(st.integers(-40, 40)), draw(st.integers(1, max_denominator))) for _ in range(n)
+    ]
+    mean = sum(coords, F(0)) / n
+    X = CartanElement(tuple(c - mean for c in coords))
+    assume(not X.is_zero())
+    return X
+
+
+def assert_rows_are_entropy_caps(lattice: str, n: int, directions) -> None:
+    problem = rigidity_problem(n, lattice, F(1, 2), test_directions=directions)
     model = build_lp(problem)
+    assert model.directions == tuple(directions)
     for X, row in zip(model.directions, model.ge_rows):
-        for s, coeff in zip(model.supports, row):
-            assert coeff == component_entropy_cap(rs, s, X)
+        assert len(row) == len(problem.supports)
+        for s, coeff in zip(problem.supports, row):
+            assert type(coeff) is F
+            assert coeff == component_entropy_cap(problem.rs, s, X)
+
+
+def test_build_lp_rows_match_entropy_caps():
+    assert_rows_are_entropy_caps("generic", 4, default_test_directions(4))
+
+
+LATTICE_CASES = [("generic", 3), ("generic", 4), ("generic", 5), ("inner", 4), ("inner", 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(LATTICE_CASES), data=st.data())
+def test_build_lp_rows_match_entropy_caps_on_random_directions(case, data):
+    lattice, n = case
+    directions = data.draw(st.lists(rational_directions(n, 3000), min_size=1, max_size=3))
+    assert_rows_are_entropy_caps(lattice, n, directions)
+
+
+@pytest.mark.parametrize("lattice,n", LATTICE_CASES)
+def test_build_lp_rows_match_entropy_caps_with_many_bit_planes(lattice, n):
+    # coprime denominators near 1000 put the cap numerators far above 2^8
+    dens = [997, 1009, 1013, 1019, 1021, 1031][:n]
+    coords = [F(3 * i + 1, d) for i, d in enumerate(dens)]
+    mean = sum(coords, F(0)) / n
+    X = CartanElement(tuple(c - mean for c in coords))
+    nums, _ = _positive_part_numerators(build_type_a(n), X)
+    assert max(nums).bit_length() > 8
+    assert_rows_are_entropy_caps(lattice, n, [X, X.negated(), cartan(n - 1, *([-1] * (n - 1)))])
 
 
 def test_build_lp_beta_zero_is_trivially_feasible():
@@ -238,6 +285,120 @@ def test_verify_solution_rejects_corruption():
     tampered_weights[first] += F(1, 100)
     tampered = type(solution)(solution.status, solution.optimum, tampered_weights, solution.basis)
     assert not verify_solution(model, tampered)
+
+
+def vertex_sl3():
+    _, model, solution = solve_min_haar(3, "generic", F(1, 2))
+    # the vertex: each pair and Δ at 1/4, ∅ at 0
+    by_label = {s.label: s for s in model.supports}
+    assert solution.weights[by_label["∅"]] == 0
+    return model, solution, by_label
+
+
+def reweighted(solution, by_label, changes, optimum=None):
+    weights = dict(solution.weights)
+    for label, w in changes.items():
+        weights[by_label[label]] = w
+    return dataclasses.replace(
+        solution, weights=weights, optimum=solution.optimum if optimum is None else optimum
+    )
+
+
+def test_verify_solution_rejects_negative_weight_off_the_vertex():
+    # ∅ drops to -1/100 and a pair gains 1/100: the sum, every row and the
+    # objective all still pass, so only the sign check can reject
+    model, solution, by_label = vertex_sl3()
+    tampered = reweighted(solution, by_label, {"∅": F(-1, 100), "{±α_12}": F(1, 4) + F(1, 100)})
+    assert not verify_solution(model, tampered)
+
+
+def test_verify_solution_rejects_weights_not_summing_to_one():
+    # weight on ∅ changes no row and not the objective, only the total mass
+    model, solution, by_label = vertex_sl3()
+    assert not verify_solution(model, reweighted(solution, by_label, {"∅": F(1, 100)}))
+
+
+def test_verify_solution_rejects_a_violated_row():
+    # mass 1 and objective 1/4 as at the vertex, but Δ alone delivers 6/4 < 3
+    model, solution, by_label = vertex_sl3()
+    changes = {"∅": F(3, 4), "{±α_12}": F(0), "{±α_13}": F(0), "{±α_23}": F(0)}
+    assert not verify_solution(model, reweighted(solution, by_label, changes))
+
+
+def test_verify_solution_rejects_a_wrong_optimum():
+    model, solution, by_label = vertex_sl3()
+    assert not verify_solution(model, reweighted(solution, by_label, {}, optimum=F(1, 5)))
+    # all mass on Δ is feasible, but its objective 1 is not the reported 1/4
+    changes = {"Δ": F(1), "{±α_12}": F(0), "{±α_13}": F(0), "{±α_23}": F(0)}
+    assert not verify_solution(model, reweighted(solution, by_label, changes))
+    assert not verify_solution(model, dataclasses.replace(solution, status="infeasible"))
+
+
+def fraction_keyed_groups(model):
+    """The dedup oracle: group columns on their values as Fractions."""
+    groups, reps, rep_of = {}, [], []
+    for j in range(len(model.variables)):
+        key = (F(model.objective[j]),) + tuple(F(row[j]) for row in model.ge_rows)
+        if key not in groups:
+            groups[key] = len(reps)
+            reps.append(j)
+        rep_of.append(groups[key])
+    return reps, rep_of
+
+
+def hand_built_model(objective, rows):
+    nv = len(objective)
+    supports = tuple(SupportSet(j, f"v{j}", "other") for j in range(nv))
+    return LPModel(
+        tuple(s.label for s in supports), supports, (cartan(1, -1),) * len(rows),
+        tuple(objective), tuple(tuple(r) for r in rows), (F(0),) * len(rows),
+    )
+
+
+def test_dedup_columns_matches_fraction_oracle_on_mixed_entries():
+    # 3, F(3) and F(6, 2) are one value, as are F(1, 2) and F(2, 4), and 0 and
+    # F(0): columns 0, 1, 3 and columns 2, 5 coincide
+    model = hand_built_model(
+        [0, F(0), 1, F(0), 0, F(1)],
+        [
+            [3, F(3), F(1, 2), F(6, 2), F(1, 3), F(1, 2)],
+            [F(1, 2), F(2, 4), 0, F(1, 2), F(1, 2), F(0)],
+        ],
+    )
+    assert _dedup_columns(model) == fraction_keyed_groups(model)
+    assert _dedup_columns(model) == ([0, 2, 4], [0, 0, 1, 0, 2, 1])
+
+
+_SMALL_VALUES = st.sampled_from([0, 1, 2, F(0), F(1), F(2), F(1, 2), F(2, 4), F(-1, 2), F(3, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(0, 3)),
+    data=st.data(),
+)
+def test_dedup_columns_matches_fraction_oracle_on_random_models(shape, data):
+    nv, nrows = shape
+    objective = data.draw(st.lists(_SMALL_VALUES, min_size=nv, max_size=nv))
+    rows = [data.draw(st.lists(_SMALL_VALUES, min_size=nv, max_size=nv)) for _ in range(nrows)]
+    model = hand_built_model(objective, rows)
+    assert _dedup_columns(model) == fraction_keyed_groups(model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.fractions(0, 1, max_denominator=12),
+    bound_mode=st.sampled_from(BOUND_MODES),
+    directions=st.lists(rational_directions(3, 6), min_size=1, max_size=3),
+)
+def test_solve_lp_matches_brute_force_on_random_directions(beta, bound_mode, directions):
+    _, model, solution = solve_min_haar(
+        3, "generic", beta, bound_mode=bound_mode, test_directions=directions
+    )
+    # Δ alone meets every row, so the region is never empty
+    assert solution.status == "optimal"
+    assert solution.optimum == brute_force_lp_minimum(model)
+    assert verify_solution(model, solution)
 
 
 def test_bounds_sandwich_closed_forms_meet_lp():
