@@ -62,7 +62,6 @@ class MatrixFamily:
     """A nonempty family of dense complex matrices of identical shape."""
 
     members: tuple
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         members = tuple(np.asarray(m, dtype=complex) for m in self.members)
@@ -85,7 +84,7 @@ class MatrixFamily:
             / math.sqrt(2.0)
             for _ in range(num_members)
         )
-        return cls(members, seed=seed)
+        return cls(members)
 
 
 @dataclass(frozen=True)

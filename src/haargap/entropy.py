@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .roots import CartanElement, RootSystem, dominant_representative, evaluate_root
-from .supports import SupportSet, support_indices
+from .supports import SupportSet, _check_mask, support_indices
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def component_entropy_cap(rs: RootSystem, R: SupportSet, X: CartanElement) -> Fr
     needs the cap at each orbit element separately.
     """
     mask = R.mask if isinstance(R, SupportSet) else int(R)
-    if mask < 0 or mask > rs.full_mask():
-        raise ValueError(f"support mask {mask:#x} has root indices outside the root system")
+    _check_mask(rs, mask)
     total = Fraction(0)
     for k in support_indices(mask):
         v = evaluate_root(rs, rs.roots[k], X)

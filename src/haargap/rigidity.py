@@ -24,7 +24,6 @@ from .entropy import entropy_lower_bound, haar_entropy
 from .roots import CartanElement, RootSystem, build_type_a, cartan, weyl_orbit
 from .supports import (
     KIND_FULL,
-    CapacityError,
     SupportSet,
     enumerate_block_partitions,
     enumerate_symmetric_closed,
@@ -36,9 +35,6 @@ BOUND_MODES = (BOUND_HAAR_FRACTION, BOUND_THM14)
 
 LATTICE_GENERIC = "generic"
 LATTICE_INNER = "inner"
-
-GENERIC_MAX_N = 6
-INNER_MAX_N = 12
 
 _ZERO = Fraction(0)
 
@@ -258,14 +254,10 @@ def rigidity_problem(
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     if lattice == LATTICE_GENERIC:
-        if n > GENERIC_MAX_N:
-            raise CapacityError(
-                f"generic support enumeration is limited to n <= {GENERIC_MAX_N}, got n={n}"
-            )
         rs = build_type_a(n)
         supports = tuple(enumerate_symmetric_closed(rs))
     elif lattice == LATTICE_INNER:
-        supports = tuple(enumerate_block_partitions(n, max_n=INNER_MAX_N))
+        supports = tuple(enumerate_block_partitions(n))
         rs = build_type_a(n)
     else:
         raise ValueError(f"unknown lattice class {lattice!r}; expected 'generic' or 'inner'")

@@ -1,6 +1,11 @@
 """Exact two-phase simplex over the rationals.
 
-Dense tableau implementation for small problems: every entry is a Fraction,
+Dense tableau implementation for small problems, kept as one augmented array:
+each row holds a constraint's coefficients (in phase 1 also the artificial
+columns) with its right-hand side as the last entry, and the current
+objective's reduced costs ride along as the last row, minus the objective
+value in its last entry.  One pivot therefore updates constraints,
+right-hand sides and reduced costs together.  Every entry is a Fraction;
 pivoting follows Bland's rule (lowest eligible index, ties by lowest basic
 variable), which rules out cycling and makes the solved vertex deterministic.
 """
@@ -23,72 +28,38 @@ class SimplexResult:
     basis: tuple[int, ...] | None
 
 
-def _pivot(T, rhs, basis, row, col):
-    piv = T[row][col]
-    inv = Fraction(1) / piv
-    T[row] = [v * inv for v in T[row]]
-    rhs[row] *= inv
-    prow = T[row]
-    prhs = rhs[row]
-    for i in range(len(T)):
-        if i == row:
-            continue
-        f = T[i][col]
-        if f:
-            ti = T[i]
-            T[i] = [a - f * b for a, b in zip(ti, prow)]
-            rhs[i] -= f * prhs
+def _pivot(T, basis, row, col):
+    inv = Fraction(1) / T[row][col]
+    prow = T[row] = [v * inv for v in T[row]]
+    for i, ti in enumerate(T):
+        f = ti[col]
+        if f and i != row:
+            # a zero in the pivot row leaves the entry as it is: skip two Fraction ops
+            T[i] = [a - f * b if b else a for a, b in zip(ti, prow)]
     basis[row] = col
 
 
-def _bland_entering(r, allowed_cols):
-    for j in allowed_cols:
-        if r[j] < 0:
-            return j
-    return None
+def _run_phase(T, basis, cost):
+    """Append the reduced-cost row of `cost` to T and pivot until optimal or unbounded.
 
-
-def _ratio_leaving(T, rhs, basis, col):
-    best = None
-    best_row = None
-    for i in range(len(T)):
-        a = T[i][col]
-        if a > 0:
-            ratio = rhs[i] / a
-            if best is None or ratio < best or (ratio == best and basis[i] < basis[best_row]):
-                best = ratio
-                best_row = i
-    return best_row
-
-
-def _reduced_costs(T, basis, c):
-    # r_j = c_j - c_B . T[:, j]
-    r = [Fraction(v) for v in c]
-    for i, bi in enumerate(basis):
-        cb = c[bi]
-        if cb:
-            ti = T[i]
-            for j in range(len(r)):
-                if ti[j]:
-                    r[j] -= cb * ti[j]
-    return r
-
-
-def _run_phase(T, rhs, basis, r, allowed_cols):
+    The cost row stays last in T; the constraint rows are T[:len(basis)].
+    """
+    z = cost + [Fraction(0)]
+    for ti, bi in zip(T, basis):
+        if cost[bi]:
+            z = [a - cost[bi] * b for a, b in zip(z, ti)]
+    T.append(z)
+    rows = range(len(basis))
     while True:
-        col = _bland_entering(r, allowed_cols)
+        z = T[-1]
+        col = next((j for j in range(len(cost)) if z[j] < 0), None)
         if col is None:
             return STATUS_OPTIMAL
-        row = _ratio_leaving(T, rhs, basis, col)
-        if row is None:
+        # ratio test; ties go to the lowest basic variable
+        eligible = [i for i in rows if T[i][col] > 0]
+        if not eligible:
             return STATUS_UNBOUNDED
-        rc = r[col]
-        _pivot(T, rhs, basis, row, col)
-        prow = T[row]
-        if rc:
-            for j in range(len(r)):
-                if prow[j]:
-                    r[j] -= rc * prow[j]
+        _pivot(T, basis, min(eligible, key=lambda i: (T[i][-1] / T[i][col], basis[i])), col)
 
 
 def solve_standard_form(A, b, c) -> SimplexResult:
@@ -100,55 +71,40 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    T = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        T.append(row)
-        rhs.append(bi)
     c = [Fraction(v) for v in c]
     if len(c) != n:
         raise ValueError(f"objective length {len(c)} does not match {n} columns")
-
-    # phase 1: artificial basis
+    T = []
     for i in range(m):
-        T[i] = T[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-    basis = [n + i for i in range(m)]
-    phase1_c = [Fraction(0)] * n + [Fraction(1)] * m
-    r = _reduced_costs(T, basis, phase1_c)
-    status = _run_phase(T, rhs, basis, r, range(n + m))
-    if status == STATUS_UNBOUNDED:
+        row = [Fraction(v) for v in A[i]] + [Fraction(b[i])]
+        if row[-1] < 0:
+            row = [-v for v in row]
+        T.append(row[:n] + [Fraction(int(k == i)) for k in range(m)] + row[n:])
+
+    # phase 1: artificial basis, minimizing the sum of the artificials
+    basis = list(range(n, n + m))
+    if _run_phase(T, basis, [Fraction(0)] * n + [Fraction(1)] * m) == STATUS_UNBOUNDED:
         # cannot happen: phase-1 objective is bounded below by zero
         raise RuntimeError("phase-1 simplex reported unbounded")
-    if sum(phase1_c[bi] * rhs[i] for i, bi in enumerate(basis)) > 0:
+    if T.pop()[-1] < 0:
         return SimplexResult(STATUS_INFEASIBLE, None, None, None)
 
     # drive artificials out of the basis; drop redundant rows
     keep = []
-    for i in range(len(T)):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        piv_col = next((j for j in range(n) if T[i][j] != 0), None)
-        if piv_col is None:
-            continue  # redundant row
-        _pivot(T, rhs, basis, i, piv_col)
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j]), None)
+            if col is None:
+                continue  # redundant row
+            _pivot(T, basis, i, col)
         keep.append(i)
-    T = [T[i][:n] for i in keep]
-    rhs = [rhs[i] for i in keep]
+    T = [T[i][:n] + T[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
 
     # phase 2
-    r = _reduced_costs(T, basis, c)
-    status = _run_phase(T, rhs, basis, r, range(n))
-    if status == STATUS_UNBOUNDED:
+    if _run_phase(T, basis, c) == STATUS_UNBOUNDED:
         return SimplexResult(STATUS_UNBOUNDED, None, None, None)
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
-    objective = sum((c[j] * x[j] for j in range(n)), Fraction(0))
-    return SimplexResult(STATUS_OPTIMAL, tuple(x), objective, tuple(basis))
+    for ti, bi in zip(T, basis):
+        x[bi] = ti[-1]
+    return SimplexResult(STATUS_OPTIMAL, tuple(x), -T[-1][-1], tuple(basis))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .roots import CapacityError, RootSystem, build_type_a
 
 GENERIC_POSITIVE_ROOT_LIMIT = 15
-BLOCK_PARTITION_DEFAULT_LIMIT = 12
+BLOCK_PARTITION_LIMIT = 12
 
 KIND_EMPTY = "empty"
 KIND_PAIR = "pair"
@@ -36,6 +36,8 @@ class SupportSet:
 
 def support_indices(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of a mask, ascending."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     m = mask
     while m:
@@ -45,7 +47,13 @@ def support_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_mask(rs: RootSystem, mask: int) -> None:
+    if mask < 0 or mask >> len(rs):
+        raise ValueError(f"mask {mask:#x} does not fit a root system with {len(rs)} roots")
+
+
 def is_symmetric_mask(rs: RootSystem, mask: int) -> bool:
+    _check_mask(rs, mask)
     return all(mask >> rs.negation[k] & 1 for k in support_indices(mask))
 
 
@@ -55,6 +63,7 @@ def closure_of(rs: RootSystem, mask: int) -> int:
     This is the transitive closure of the index pairs, built one pivot k at a
     time (Warshall).
     """
+    _check_mask(rs, mask)
     pairs = {(rs.roots[b].i, rs.roots[b].j) for b in support_indices(mask)}
     for k in range(1, rs.n + 1):
         into = [i for i, m in pairs if m == k]
@@ -117,6 +126,7 @@ def make_support(rs: RootSystem, mask: int) -> SupportSet:
     mask is admissible exactly when those blocks rebuild it.  Any other mask
     is labelled by its positive roots and has kind `other`.
     """
+    _check_mask(rs, mask)
     partners = {i: {i} for i in range(1, rs.n + 1)}
     idx = support_indices(mask)
     for k in idx:
@@ -131,8 +141,7 @@ def make_support(rs: RootSystem, mask: int) -> SupportSet:
 
 def is_admissible(rs: RootSystem, R: SupportSet) -> bool:
     """True iff R is symmetric and addition-closed."""
-    if R.mask < 0 or R.mask > rs.full_mask():
-        raise ValueError(f"mask {R.mask:#x} does not fit a root system with {len(rs)} roots")
+    _check_mask(rs, R.mask)
     return is_symmetric_mask(rs, R.mask) and closure_of(rs, R.mask) == R.mask
 
 
@@ -153,7 +162,7 @@ def enumerate_symmetric_closed(rs: RootSystem) -> list[SupportSet]:
     return found
 
 
-def enumerate_block_partitions(n: int, max_n: int = BLOCK_PARTITION_DEFAULT_LIMIT) -> list[SupportSet]:
+def enumerate_block_partitions(n: int) -> list[SupportSet]:
     """Supports of equal-size block partitions of {1..n}, for every divisor k of n.
 
     k = 1 yields ∅ and k = n yields Δ.  Within each k the partitions come out
@@ -161,8 +170,10 @@ def enumerate_block_partitions(n: int, max_n: int = BLOCK_PARTITION_DEFAULT_LIMI
     """
     if n < 2:
         raise ValueError(f"invalid dimension n={n}; need n >= 2")
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the block-partition enumeration limit of {max_n}")
+    if n > BLOCK_PARTITION_LIMIT:
+        raise CapacityError(
+            f"n={n} exceeds the block-partition enumeration limit of {BLOCK_PARTITION_LIMIT}"
+        )
     rs = build_type_a(n)
     out: list[SupportSet] = []
     for k in range(1, n + 1):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haargap.roots import build_type_a
+from haargap.entropy import component_entropy_cap
+from haargap.roots import build_type_a, cartan
 from haargap.supports import (
     CapacityError,
     SupportSet,
@@ -15,6 +16,7 @@ from haargap.supports import (
     enumerate_block_partitions,
     enumerate_symmetric_closed,
     is_admissible,
+    is_symmetric_mask,
     make_support,
     support_indices,
 )
@@ -158,7 +160,6 @@ def test_block_partitions_input_validation():
         enumerate_block_partitions(1)
     with pytest.raises(CapacityError, match="12"):
         enumerate_block_partitions(13)
-    assert len(enumerate_block_partitions(13, max_n=13)) > 0  # the limit is configurable
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 11])
@@ -202,6 +203,26 @@ def test_is_admissible_rejects_out_of_range_mask():
     rs = build_type_a(3)
     with pytest.raises(ValueError):
         is_admissible(rs, SupportSet(1 << 10, "bogus", "other"))
+
+
+@pytest.mark.parametrize("mask", [-1, -(1 << 6), 1 << 6, 1 << 10])
+def test_masks_outside_the_root_system_are_refused(mask):
+    rs = build_type_a(3)  # six roots: the masks that fit are 0 .. 2^6 - 1
+    bogus = SupportSet(mask, "bogus", "other")
+    X = cartan(1, 0, -1)
+    calls = [
+        lambda: make_support(rs, mask),
+        lambda: closure_of(rs, mask),
+        lambda: is_symmetric_mask(rs, mask),
+        lambda: is_admissible(rs, bogus),
+        lambda: component_entropy_cap(rs, bogus, X),
+        lambda: component_entropy_cap(rs, mask, X),
+    ]
+    if mask < 0:
+        calls.append(lambda: support_indices(mask))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_closure_fixpoint():

@@ -1,9 +1,9 @@
-"""Shared test helpers: random exact data and the brute-force LP vertex oracle.
+"""Shared test helpers: random exact data and the brute-force LP oracles.
 
-The vertex oracle is deliberately independent of the production simplex: it
-enumerates every choice of active constraints, solves the square system by
-rational Gaussian elimination, filters for feasibility and takes the best
-objective value.
+The oracles are deliberately independent of the production simplex: they
+enumerate every choice of active constraints (or of basic columns), solve the
+square system by rational Gaussian elimination, filter for feasibility and
+take the best objective value.
 """
 
 from __future__ import annotations
@@ -82,3 +82,38 @@ def brute_force_lp_minimum(model) -> Fraction:
         if best is None or value < best:
             best = value
     return best
+
+
+def row_rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a rational matrix by Gaussian elimination."""
+    M = [row[:] for row in rows]
+    rank = 0
+    for col in range(len(M[0]) if M else 0):
+        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for r in range(rank + 1, len(M)):
+            f = M[r][col] / M[rank][col]
+            M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+def brute_force_standard_form(A, b, c):
+    """(status, optimum) of min c.x subject to A x = b, x >= 0, over every column basis.
+
+    A must have full row rank and a bounded feasible region.  Then the LP is
+    infeasible exactly when no choice of m columns gives a nonnegative basic
+    solution, and otherwise its minimum is attained at one of them.
+    """
+    m, n = len(A), len(A[0])
+    best = None
+    for cols in itertools.combinations(range(n), m):
+        xb = _solve_square([[A[i][j] for j in cols] for i in range(m)], list(b))
+        if xb is None or any(v < 0 for v in xb):
+            continue
+        value = sum((c[j] * v for j, v in zip(cols, xb)), Fraction(0))
+        if best is None or value < best:
+            best = value
+    return ("infeasible", None) if best is None else ("optimal", best)
