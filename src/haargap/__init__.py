@@ -60,6 +60,7 @@ from .roots import (
 )
 from .supports import (
     CapacityError,
+    Partition,
     SupportSet,
     closure_of,
     enumerate_block_partitions,

@@ -99,8 +99,11 @@ def _emit(args, command: str, inputs: dict, results: dict, table: str) -> None:
     else:
         text = table
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --output: {exc}") from exc
     else:
         print(text)
 
@@ -206,9 +209,7 @@ def _cmd_supports(args) -> int:
         sets = enumerate_symmetric_closed(build_type_a(args.n))
     else:
         sets = enumerate_block_partitions(args.n)
-    by_kind: dict[str, int] = {}
-    for s in sets:
-        by_kind[s.kind] = by_kind.get(s.kind, 0) + 1
+    by_kind = dict(Counter(s.kind for s in sets))
     inputs = {"n": args.n, "lattice": args.lattice}
     results = {
         "count": len(sets),
@@ -239,24 +240,25 @@ def _cmd_haar_lp(args) -> int:
     }
     if directions:
         inputs["direction"] = [",".join(_frac(c) for c in d.coords) for d in directions]
+    num_variables = len(model.group_of)
     constraints = []
     for X, row, rhs in zip(model.directions, model.ge_rows, model.ge_rhs):
         entry = {
             "direction": ",".join(_frac(c) for c in X.coords),
             "rhs": _frac(rhs),
         }
-        if len(model.variables) <= 64:
-            entry["coefficients"] = [_frac(v) for v in row]
+        if num_variables <= 64:
+            entry["coefficients"] = [_frac(row[g]) for g in model.group_of]
         constraints.append(entry)
     results = {
         "status": solution.status,
-        "num_variables": len(model.variables),
+        "num_variables": num_variables,
         "num_constraints": len(model.ge_rows),
         "constraints": constraints,
     }
     lines = [
         f"Entropy-game LP for SL_{args.n} ({args.lattice}), beta = {inputs['beta']}, "
-        f"{len(model.variables)} variables, {len(model.ge_rows)} constraints",
+        f"{num_variables} variables, {len(model.ge_rows)} constraints",
     ]
     if solution.status == "optimal":
         report = extremal_vertex_report(solution)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .roots import CartanElement, RootSystem, dominant_representative, evaluate_root
-from .supports import SupportSet, _check_mask, support_indices
+from .supports import Partition, SupportSet, _check_mask, support_indices
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,13 @@ def conjectured_entropy_bound(rs: RootSystem, X: CartanElement) -> Fraction:
     return haar_entropy(rs, X) / 2
 
 
-def component_entropy_cap(rs: RootSystem, R: SupportSet, X: CartanElement) -> Fraction:
+def component_entropy_cap(rs: RootSystem, R: Partition | SupportSet | int, X: CartanElement) -> Fraction:
     """Maximal entropy of a component supported on R, at this specific X.
 
     The input is deliberately NOT dominantized: the rigidity linear program
     needs the cap at each orbit element separately.
     """
-    mask = R.mask if isinstance(R, SupportSet) else int(R)
+    mask = R if isinstance(R, int) else R.mask
     _check_mask(rs, mask)
     total = Fraction(0)
     for k in support_indices(mask):

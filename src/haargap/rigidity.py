@@ -15,7 +15,9 @@ arithmetic; no floating point enters this module.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from .entropy import entropy_lower_bound, haar_entropy
 from .roots import CartanElement, RootSystem, build_type_a, cartan, weyl_orbit
 from .supports import (
     KIND_FULL,
-    SupportSet,
+    Partition,
     enumerate_block_partitions,
     enumerate_symmetric_closed,
 )
@@ -44,7 +46,7 @@ class RigidityProblem:
     """An instance of the entropy game: supports, test directions, bound choice."""
 
     rs: RootSystem
-    supports: tuple[SupportSet, ...]
+    supports: tuple[Partition, ...]
     test_directions: tuple[CartanElement, ...]
     beta: Fraction
     bound_mode: str = BOUND_HAAR_FRACTION
@@ -57,21 +59,28 @@ class RigidityProblem:
 
 @dataclass(frozen=True)
 class LPModel:
-    """Minimize objective.w subject to ge_rows.w >= ge_rhs, sum(w) = 1, w >= 0."""
+    """Minimize objective.w subject to ge_rows.w >= ge_rhs, sum(w) = 1, w >= 0.
+
+    Supports with equal columns form one group, one variable: variables,
+    supports (each group's first member), objective and ge_rows' columns run
+    over the groups.  Group g has counts[g] members; support m is in group_of[m].
+    """
 
     variables: tuple[str, ...]
-    supports: tuple[SupportSet, ...]
+    supports: tuple[Partition, ...]
     directions: tuple[CartanElement, ...]
     objective: tuple[Fraction, ...]
     ge_rows: tuple[tuple[Fraction, ...], ...]
     ge_rhs: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    group_of: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class LPSolution:
     status: str
     optimum: Fraction | None
-    weights: dict[SupportSet, Fraction]
+    weights: dict[Partition, Fraction]
     basis: tuple[str, ...]
 
 
@@ -90,22 +99,22 @@ class VertexReport:
     note: str = "one optimal vertex among possibly many; uniqueness is not claimed"
 
 
-def _positive_part_numerators(rs: RootSystem, X: CartanElement) -> tuple[list[int], int]:
-    """Integerize max(alpha(X), 0) over all roots: values are nums/denom."""
-    denom = math.lcm(*(c.denominator for c in X.coords))
-    scaled = [int(c * denom) for c in X.coords]
-    return [max(scaled[r.i - 1] - scaled[r.j - 1], 0) for r in rs.roots], denom
-
-
 def build_lp(problem: RigidityProblem) -> LPModel:
     """Assemble the entropy-game LP for a rigidity problem.
 
     One constraint per test direction; caps are evaluated at the direction as
-    given (orbit elements are deliberately not dominantized).
+    given (orbit elements are deliberately not dominantized).  A support holds
+    ±α_ij together and one of them is positive on X, so its cap at X is the
+    sum of |X_i - X_j| over the pairs i < j inside its blocks.  These integer
+    sums (X scaled once) make one key per support with a lane per direction;
+    supports with equal keys form one group, whose column is built once.
     """
     rs = problem.rs
     supports = problem.supports
-    n_full = sum(1 for s in supports if s.mask == rs.full_mask())
+    if not all(isinstance(s, Partition) for s in supports):
+        raise ValueError("every support must be a Partition: caps are read from blocks")
+    full = Partition((tuple(range(1, rs.n + 1)),))
+    n_full = supports.count(full)
     if n_full == 0:
         raise ValueError("Δ missing from supports: the full support must be present")
     if n_full > 1:
@@ -122,80 +131,63 @@ def build_lp(problem: RigidityProblem) -> LPModel:
         if X.is_zero():
             raise ValueError("test directions must be nonzero")
 
-    masks = [s.mask for s in supports]
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    for X in problem.test_directions:
-        nums, denom = _positive_part_numerators(rs, X)
-        # plane b is the mask of roots whose numerator has bit b set, so a
-        # support's cap numerator is the sum over b of its popcount in plane b
-        planes = [
-            (b, sum(1 << k for k, v in enumerate(nums) if v >> b & 1))
-            for b in range(max(nums).bit_length())
-        ]
-        caps: dict[int, Fraction] = {}
-        row = []
-        for mask in masks:
-            total = 0
-            for b, plane in planes:
-                total += (mask & plane).bit_count() << b
-            cap = caps.get(total)
-            if cap is None:
-                cap = caps[total] = Fraction(total, denom)
-            row.append(cap)
-        if problem.bound_mode == BOUND_HAAR_FRACTION:
-            bound = problem.beta * haar_entropy(rs, X)
-        else:
-            bound = entropy_lower_bound(rs, X)
-        rows.append(tuple(row))
-        rhs.append(bound)
+    denoms = [math.lcm(*(c.denominator for c in X.coords)) for X in problem.test_directions]
+    scaled = [[int(c * d) for c in X.coords] for X, d in zip(problem.test_directions, denoms)]
+    pairs = list(itertools.combinations(range(rs.n), 2))
+    # no support's cap exceeds Δ's, the sum over all pairs, so a lane as wide
+    # as the largest such sum never carries into the next
+    width = max(sum(abs(x[i] - x[j]) for i, j in pairs) for x in scaled).bit_length()
+    pair_weight = {
+        (i + 1, j + 1): sum(abs(x[i] - x[j]) << d * width for d, x in enumerate(scaled))
+        for i, j in pairs
+    }
+    block_weight = {
+        block: sum(pair_weight[p] for p in itertools.combinations(block, 2))
+        for block in set().union(*supports)
+    }
+    keys = [sum(map(block_weight.__getitem__, s)) for s in supports]
+    # every nonzero direction puts some pair of distinct values in different
+    # blocks of any partition but Δ, so Δ's key is its own and the objective
+    # needs no lane
+    first: dict[int, Partition] = {}
+    for s, key in zip(supports, keys):
+        first.setdefault(key, s)
+    group = {key: g for g, key in enumerate(first)}
+    reps = tuple(first.values())
 
-    objective = tuple(
-        Fraction(1) if s.mask == rs.full_mask() else _ZERO for s in supports
+    lane = (1 << width) - 1
+    rows = tuple(
+        tuple(Fraction(key >> d * width & lane, denom) for key in first)
+        for d, denom in enumerate(denoms)
     )
-    labels = tuple(s.label for s in supports)
-    return LPModel(labels, supports, problem.test_directions, objective, tuple(rows), tuple(rhs))
-
-
-def _dedup_columns(model: LPModel):
-    """Group variables with identical objective coefficient and constraint column."""
-    groups: dict[tuple, int] = {}
-    rep_of: list[int] = []
-    reps: list[int] = []
-    for j, column in enumerate(zip(model.objective, *model.ge_rows)):
-        # integer pairs hash in C; a Fraction hashes in Python
-        key = tuple((v.numerator, v.denominator) for v in column)
-        g = groups.get(key)
-        if g is None:
-            g = len(reps)
-            groups[key] = g
-            reps.append(j)
-        rep_of.append(g)
-    return reps, rep_of
+    if problem.bound_mode == BOUND_HAAR_FRACTION:
+        rhs = tuple(problem.beta * haar_entropy(rs, X) for X in problem.test_directions)
+    else:
+        rhs = tuple(entropy_lower_bound(rs, X) for X in problem.test_directions)
+    objective = tuple(Fraction(1) if s == full else _ZERO for s in reps)
+    group_of = tuple(map(group.__getitem__, keys))
+    counts = tuple(map(Counter(group_of).__getitem__, range(len(reps))))
+    labels = tuple(s.label for s in reps)
+    return LPModel(labels, reps, problem.test_directions, objective, rows, rhs, counts, group_of)
 
 
 def solve_lp(model: LPModel) -> LPSolution:
     """Exact optimum of the model via two-phase simplex with Bland's rule.
 
-    Duplicate columns are merged before solving and the merged weight lands on
-    the first variable of each group, which keeps the result deterministic.
-    The returned vertex is re-verified against every constraint by exact
-    substitution before being handed back.
+    Each group of equal columns is one variable, so its weight lands on the
+    group's first member, which keeps the result deterministic.  The returned
+    vertex is re-verified against every constraint by exact substitution
+    before being handed back.
     """
-    reps, _ = _dedup_columns(model)
-    ng = len(reps)
+    ng = len(model.supports)
     nrows = len(model.ge_rows)
     # standard form: [group weights | surplus]; rows: sum-to-one, then each >=
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    A.append([Fraction(1)] * ng + [_ZERO] * nrows)
-    b.append(Fraction(1))
-    for k, row in enumerate(model.ge_rows):
-        srow = [row[j] for j in reps]
-        srow += [Fraction(-1) if t == k else _ZERO for t in range(nrows)]
-        A.append(srow)
-        b.append(model.ge_rhs[k])
-    c = [model.objective[j] for j in reps] + [_ZERO] * nrows
+    A = [[Fraction(1)] * ng + [_ZERO] * nrows] + [
+        list(row) + [Fraction(-1) if t == k else _ZERO for t in range(nrows)]
+        for k, row in enumerate(model.ge_rows)
+    ]
+    b = [Fraction(1), *model.ge_rhs]
+    c = list(model.objective) + [_ZERO] * nrows
 
     result = simplex.solve_standard_form(A, b, c)
     if result.status == simplex.STATUS_INFEASIBLE:
@@ -203,11 +195,9 @@ def solve_lp(model: LPModel) -> LPSolution:
     if result.status != simplex.STATUS_OPTIMAL:
         raise RuntimeError(f"unexpected solver status {result.status!r} on a compact feasible region")
 
-    weights: dict[SupportSet, Fraction] = {s: _ZERO for s in model.supports}
-    for g, j in enumerate(reps):
-        weights[model.supports[j]] = result.x[g]
+    weights = dict(zip(model.supports, result.x))
     basis_names = tuple(
-        model.variables[reps[k]] if k < ng else f"surplus_{k - ng}" for k in result.basis
+        model.variables[k] if k < ng else f"surplus_{k - ng}" for k in result.basis
     )
     solution = LPSolution("optimal", result.objective, weights, basis_names)
     if not verify_solution(model, solution):

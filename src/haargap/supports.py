@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .roots import CapacityError, RootSystem, build_type_a
+from .roots import CapacityError, RootSystem
 
 GENERIC_POSITIVE_ROOT_LIMIT = 15
 BLOCK_PARTITION_LIMIT = 12
@@ -27,11 +27,47 @@ KIND_OTHER = "other"
 
 @dataclass(frozen=True)
 class SupportSet:
-    """A root subset given as a bitmask over a RootSystem's root order."""
+    """A root subset given as a bitmask: make_support's answer for a non-partition mask."""
 
     mask: int
     label: str
     kind: str
+
+
+class Partition(tuple):
+    """A set partition of {1..n}: ascending blocks ordered by their smallest element.
+
+    It stands for the admissible support of every root inside a block.  Its
+    mask (over build_type_a(n)'s lexicographic root order), label and kind are
+    derived from the blocks when read.
+    """
+
+    __slots__ = ()
+
+    @property
+    def mask(self) -> int:
+        n = sum(map(len, self))
+        pairs = (p for block in self for p in itertools.permutations(block, 2))
+        # the bit of rs.index_of[(i, j)], the pairs i != j in lexicographic order
+        return sum(1 << (i - 1) * (n - 1) + j - 1 - (j > i) for i, j in pairs)
+
+    @property
+    def kind(self) -> str:
+        sizes = [len(b) for b in self if len(b) > 1]
+        if not sizes:
+            return KIND_EMPTY
+        if len(self) == 1:
+            return KIND_FULL
+        return KIND_PAIR if sizes == [2] else KIND_BLOCK
+
+    @property
+    def label(self) -> str:
+        kind = self.kind
+        if kind == KIND_PAIR:
+            return "{±α_%d%d}" % next(b for b in self if len(b) > 1)
+        if kind == KIND_BLOCK:
+            return "blocks " + "".join("{" + ",".join(map(str, b)) + "}" for b in self)
+        return "∅" if kind == KIND_EMPTY else "Δ"
 
 
 def support_indices(mask: int) -> tuple[int, ...]:
@@ -75,63 +111,36 @@ def closure_of(rs: RootSystem, mask: int) -> int:
     return closed
 
 
-def _set_partitions(n: int, max_blocks: int, max_size: int):
-    """Set partitions of {1..n} into at most max_blocks blocks of at most max_size.
+def _partitions(rest: tuple, sizes, prefix: tuple, out: list) -> None:
+    """Append to out prefix + each partition of rest into blocks of the given sizes.
 
-    Restricted-growth depth-first walk: each element joins an open block with
-    room or opens a new block.  Blocks come out ascending, ordered by their
-    smallest element.
+    The smallest unused element opens each block and `itertools.combinations`
+    picks its partners, so with one size the partitions come out in
+    lexicographic order of their block lists.
     """
-    blocks: list[list[int]] = []
-
-    def place(x: int):
-        if x > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            if len(b) < max_size:
-                b.append(x)
-                yield from place(x + 1)
-                b.pop()
-        if len(blocks) < max_blocks:
-            blocks.append([x])
-            yield from place(x + 1)
-            blocks.pop()
-
-    yield from place(1)
+    first, others = rest[0], rest[1:]
+    for size in sizes:
+        if size == len(rest):
+            out.append(Partition((*prefix, rest)))
+            continue
+        for partners in itertools.combinations(others, size - 1):
+            left = tuple(itertools.filterfalse(partners.__contains__, others))
+            _partitions(left, sizes, (*prefix, (first, *partners)), out)
 
 
-def _support_of_blocks(rs: RootSystem, blocks) -> SupportSet:
-    """The support made of all roots inside the blocks, with its label and kind."""
-    mask = 0
-    for block in blocks:
-        for i, j in itertools.permutations(block, 2):
-            mask |= 1 << rs.index_of[(i, j)]
-    nontrivial = [b for b in blocks if len(b) > 1]
-    if not nontrivial:
-        return SupportSet(0, "∅", KIND_EMPTY)
-    if len(blocks) == 1:
-        return SupportSet(mask, "Δ", KIND_FULL)
-    if len(nontrivial) == 1 and len(nontrivial[0]) == 2:
-        i, j = nontrivial[0]
-        return SupportSet(mask, f"{{±α_{i}{j}}}", KIND_PAIR)
-    label = "blocks " + "".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
-    return SupportSet(mask, label, KIND_BLOCK)
-
-
-def make_support(rs: RootSystem, mask: int) -> SupportSet:
-    """Attach a canonical label and kind to a mask.
+def make_support(rs: RootSystem, mask: int) -> Partition | SupportSet:
+    """The Partition whose support is the mask, or else a SupportSet of kind `other`.
 
     Each index's partners {i} ∪ {j : α_ij ∈ mask} are its candidate block; the
     mask is admissible exactly when those blocks rebuild it.  Any other mask
-    is labelled by its positive roots and has kind `other`.
+    is labelled by its positive roots.
     """
     _check_mask(rs, mask)
     partners = {i: {i} for i in range(1, rs.n + 1)}
     idx = support_indices(mask)
     for k in idx:
         partners[rs.roots[k].i].add(rs.roots[k].j)
-    support = _support_of_blocks(rs, sorted({tuple(sorted(p)) for p in partners.values()}))
+    support = Partition(sorted({tuple(sorted(p)) for p in partners.values()}))
     if support.mask == mask:
         return support
     pos = [rs.roots[k] for k in idx if rs.roots[k].i < rs.roots[k].j]
@@ -139,13 +148,13 @@ def make_support(rs: RootSystem, mask: int) -> SupportSet:
     return SupportSet(mask, label, KIND_OTHER)
 
 
-def is_admissible(rs: RootSystem, R: SupportSet) -> bool:
+def is_admissible(rs: RootSystem, R: Partition | SupportSet) -> bool:
     """True iff R is symmetric and addition-closed."""
     _check_mask(rs, R.mask)
     return is_symmetric_mask(rs, R.mask) and closure_of(rs, R.mask) == R.mask
 
 
-def enumerate_symmetric_closed(rs: RootSystem) -> list[SupportSet]:
+def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
     """All symmetric, addition-closed subsets of the root set.
 
     One per set partition of {1..n}, so Bell(n) of them; ordered by root
@@ -157,12 +166,13 @@ def enumerate_symmetric_closed(rs: RootSystem) -> list[SupportSet]:
             f"root system has {npos} positive roots; generic enumeration is "
             f"limited to {GENERIC_POSITIVE_ROOT_LIMIT}"
         )
-    found = [_support_of_blocks(rs, blocks) for blocks in _set_partitions(rs.n, rs.n, rs.n)]
-    found.sort(key=lambda s: (s.mask.bit_count(), s.mask))
+    found: list[Partition] = []
+    _partitions(tuple(range(1, rs.n + 1)), range(1, rs.n + 1), (), found)
+    found.sort(key=lambda p: (p.mask.bit_count(), p.mask))
     return found
 
 
-def enumerate_block_partitions(n: int) -> list[SupportSet]:
+def enumerate_block_partitions(n: int) -> list[Partition]:
     """Supports of equal-size block partitions of {1..n}, for every divisor k of n.
 
     k = 1 yields ∅ and k = n yields Δ.  Within each k the partitions come out
@@ -174,11 +184,8 @@ def enumerate_block_partitions(n: int) -> list[SupportSet]:
         raise CapacityError(
             f"n={n} exceeds the block-partition enumeration limit of {BLOCK_PARTITION_LIMIT}"
         )
-    rs = build_type_a(n)
-    out: list[SupportSet] = []
+    out: list[Partition] = []
     for k in range(1, n + 1):
         if n % k == 0:
-            # n // k blocks of at most k elements hold all n only when every block
-            # is full; the walk's order is not lexicographic, hence the sort
-            out += [_support_of_blocks(rs, b) for b in sorted(_set_partitions(n, n // k, k))]
+            _partitions(tuple(range(1, n + 1)), (k,), (), out)
     return out

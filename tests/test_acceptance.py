@@ -185,7 +185,7 @@ def test_criterion_7_lp_oracle_equivalence():
             solve_min_haar(11, "inner", F(1, 2)),
         ]
         for _, model, solution in instances:
-            assert len(model.variables) <= 6
+            assert len(model.group_of) <= 6  # variables of the ungrouped LP
             assert brute_force_lp_minimum(model) == solution.optimum
 
 

@@ -259,6 +259,17 @@ def test_output_file_written(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_unwritable_output_is_invalid_input(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code = cli.main(["roots", "--n", "3", "--output", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid input: cannot write --output")
+        assert str(target) in lines[0]
+
+
 def test_missing_subcommand_is_invalid(capsys):
     assert cli.main([]) == 2
 

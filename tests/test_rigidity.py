@@ -1,6 +1,7 @@
 """The Haar-weight linear program: model construction, exact solving, theorems."""
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 
 from haargap.entropy import component_entropy_cap, haar_entropy
 from haargap.rigidity import (
+    BOUND_HAAR_FRACTION,
     BOUND_MODES,
     BOUND_THM14,
     LPModel,
     RigidityProblem,
-    _dedup_columns,
-    _positive_part_numerators,
     build_lp,
     default_test_directions,
     extremal_vertex_report,
@@ -26,8 +26,8 @@ from haargap.rigidity import (
     verify_solution,
 )
 from haargap.roots import CartanElement, build_type_a, cartan, weyl_orbit
-from haargap.supports import CapacityError, SupportSet, enumerate_symmetric_closed, make_support
-from util import brute_force_lp_minimum
+from haargap.supports import CapacityError, enumerate_symmetric_closed, make_support
+from util import brute_force_lp_minimum, member_lp, shape_lp_minimum
 
 
 def sl3_problem(beta, **kw):
@@ -56,19 +56,72 @@ def rational_directions(draw, n: int, max_denominator: int):
     return X
 
 
+def fraction_keyed_groups(objective, columns):
+    """The grouping oracle: first members and member -> group index, keyed
+    on each member's objective coefficient and column as Fractions."""
+    groups, reps, rep_of = {}, [], []
+    for j, column in enumerate(columns):
+        key = (F(objective[j]), *map(F, column))
+        if key not in groups:
+            groups[key] = len(reps)
+            reps.append(j)
+        rep_of.append(groups[key])
+    return reps, rep_of
+
+
 def assert_rows_are_entropy_caps(lattice: str, n: int, directions) -> None:
+    """Every member's column, read through group_of, is its per-root entropy
+    cap, and the groups are those of the Fraction-keyed oracle."""
     problem = rigidity_problem(n, lattice, F(1, 2), test_directions=directions)
     model = build_lp(problem)
     assert model.directions == tuple(directions)
-    for X, row in zip(model.directions, model.ge_rows):
-        assert len(row) == len(problem.supports)
-        for s, coeff in zip(problem.supports, row):
-            assert type(coeff) is F
-            assert coeff == component_entropy_cap(problem.rs, s, X)
+    assert len(model.group_of) == sum(model.counts) == len(problem.supports)
+    columns = [
+        [component_entropy_cap(problem.rs, s, X) for X in model.directions]
+        for s in problem.supports
+    ]
+    objective = [F(s.kind == "full") for s in problem.supports]
+    for m, g in enumerate(model.group_of):
+        assert [row[g] for row in model.ge_rows] == columns[m]
+        assert model.objective[g] == objective[m]
+    assert all(type(v) is F for row in model.ge_rows for v in row)
+    reps, rep_of = fraction_keyed_groups(objective, columns)
+    assert model.supports == tuple(problem.supports[j] for j in reps)
+    assert model.group_of == tuple(rep_of)
+    assert model.variables == tuple(s.label for s in model.supports)
+    assert model.counts == tuple(rep_of.count(g) for g in range(len(reps)))
 
 
 def test_build_lp_rows_match_entropy_caps():
     assert_rows_are_entropy_caps("generic", 4, default_test_directions(4))
+
+
+@pytest.mark.parametrize("lattice,n", [("generic", 6), ("inner", 8)])
+def test_build_lp_groups_match_fraction_oracle_at_default_directions(lattice, n):
+    # the default directions merge most columns: 203 supports into 150 groups
+    # at generic n = 6, 142 into 4 at inner n = 8
+    assert_rows_are_entropy_caps(lattice, n, default_test_directions(n))
+
+
+STANDARD_CASES = [("generic", n) for n in range(3, 7)] + [("inner", n) for n in range(3, 13)]
+
+
+@pytest.mark.parametrize("lattice,n", STANDARD_CASES)
+def test_member_counts_cover_every_support(lattice, n):
+    model = build_lp(rigidity_problem(n, lattice, F(1, 2)))
+    if lattice == "generic":
+        expected = {3: 5, 4: 15, 5: 52, 6: 203}[n]  # Bell(n)
+    else:
+        expected = sum(
+            math.factorial(n) // (math.factorial(k) ** (n // k) * math.factorial(n // k))
+            for k in range(1, n + 1)
+            if n % k == 0
+        )
+    assert sum(model.counts) == len(model.group_of) == expected
+    assert model.counts == tuple(model.group_of.count(g) for g in range(len(model.supports)))
+    # groups are numbered in order of their first member
+    firsts = [model.group_of.index(g) for g in range(len(model.supports))]
+    assert firsts == sorted(firsts)
 
 
 LATTICE_CASES = [("generic", 3), ("generic", 4), ("generic", 5), ("inner", 4), ("inner", 6)]
@@ -89,8 +142,8 @@ def test_build_lp_rows_match_entropy_caps_with_many_bit_planes(lattice, n):
     coords = [F(3 * i + 1, d) for i, d in enumerate(dens)]
     mean = sum(coords, F(0)) / n
     X = CartanElement(tuple(c - mean for c in coords))
-    nums, _ = _positive_part_numerators(build_type_a(n), X)
-    assert max(nums).bit_length() > 8
+    denom = math.lcm(*(c.denominator for c in X.coords))
+    assert max(abs(a - b) * denom for a in X.coords for b in X.coords) > 1 << 8
     assert_rows_are_entropy_caps(lattice, n, [X, X.negated(), cartan(n - 1, *([-1] * (n - 1)))])
 
 
@@ -127,6 +180,9 @@ def test_build_lp_validation_errors():
         build_lp(RigidityProblem(rs, supports, directions, F(3, 2)))
     with pytest.raises(ValueError, match="bound mode"):
         build_lp(RigidityProblem(rs, supports, directions, F(1, 2), "nonsense"))
+    not_closed = make_support(rs, rs.pair_mask(1, 2) | rs.pair_mask(1, 3))
+    with pytest.raises(ValueError, match="Partition"):
+        build_lp(RigidityProblem(rs, supports + (not_closed,), directions, F(1, 2)))
 
 
 def test_solve_lp_sl3_theorem_vertex():
@@ -186,6 +242,8 @@ def test_solve_lp_infeasible_status():
         objective=(F(1),),
         ge_rows=((F(6),),),
         ge_rhs=(F(10),),
+        counts=(1,),
+        group_of=(0,),
     )
     solution = solve_lp(model)
     assert solution.status == "infeasible"
@@ -243,7 +301,9 @@ def test_extremal_vertex_report_sl3_and_delta_only():
     assert [e[0] for e in report.entries] == ["Δ"]
 
     infeasible = solve_lp(
-        LPModel((delta.label,), (delta,), (cartan(2, -1, -1),), (F(1),), ((F(6),),), (F(10),))
+        LPModel(
+            (delta.label,), (delta,), (cartan(2, -1, -1),), (F(1),), ((F(6),),), (F(10),), (1,), (0,)
+        )
     )
     with pytest.raises(ValueError):
         extremal_vertex_report(infeasible)
@@ -268,12 +328,13 @@ def test_orbit_sufficiency_inverse_flow():
         )
         m1 = build_lp(base)
         m2 = build_lp(doubled)
+        rows1, rows2 = member_lp(m1)[1], member_lp(m2)[1]
         k = len(orbit)
         for i, X in enumerate(orbit):
-            assert m2.ge_rows[k + i] == tuple(
+            assert rows2[k + i] == [
                 component_entropy_cap(base.rs, s, X.negated()) for s in base.supports
-            )
-            assert m2.ge_rows[k + i] in m1.ge_rows  # -X duplicates some +Y row
+            ]
+            assert rows2[k + i] in rows1  # -X duplicates some +Y row
         assert solve_lp(m1).optimum == solve_lp(m2).optimum
 
 
@@ -334,57 +395,6 @@ def test_verify_solution_rejects_a_wrong_optimum():
     assert not verify_solution(model, dataclasses.replace(solution, status="infeasible"))
 
 
-def fraction_keyed_groups(model):
-    """The dedup oracle: group columns on their values as Fractions."""
-    groups, reps, rep_of = {}, [], []
-    for j in range(len(model.variables)):
-        key = (F(model.objective[j]),) + tuple(F(row[j]) for row in model.ge_rows)
-        if key not in groups:
-            groups[key] = len(reps)
-            reps.append(j)
-        rep_of.append(groups[key])
-    return reps, rep_of
-
-
-def hand_built_model(objective, rows):
-    nv = len(objective)
-    supports = tuple(SupportSet(j, f"v{j}", "other") for j in range(nv))
-    return LPModel(
-        tuple(s.label for s in supports), supports, (cartan(1, -1),) * len(rows),
-        tuple(objective), tuple(tuple(r) for r in rows), (F(0),) * len(rows),
-    )
-
-
-def test_dedup_columns_matches_fraction_oracle_on_mixed_entries():
-    # 3, F(3) and F(6, 2) are one value, as are F(1, 2) and F(2, 4), and 0 and
-    # F(0): columns 0, 1, 3 and columns 2, 5 coincide
-    model = hand_built_model(
-        [0, F(0), 1, F(0), 0, F(1)],
-        [
-            [3, F(3), F(1, 2), F(6, 2), F(1, 3), F(1, 2)],
-            [F(1, 2), F(2, 4), 0, F(1, 2), F(1, 2), F(0)],
-        ],
-    )
-    assert _dedup_columns(model) == fraction_keyed_groups(model)
-    assert _dedup_columns(model) == ([0, 2, 4], [0, 0, 1, 0, 2, 1])
-
-
-_SMALL_VALUES = st.sampled_from([0, 1, 2, F(0), F(1), F(2), F(1, 2), F(2, 4), F(-1, 2), F(3, 2)])
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    shape=st.tuples(st.integers(1, 8), st.integers(0, 3)),
-    data=st.data(),
-)
-def test_dedup_columns_matches_fraction_oracle_on_random_models(shape, data):
-    nv, nrows = shape
-    objective = data.draw(st.lists(_SMALL_VALUES, min_size=nv, max_size=nv))
-    rows = [data.draw(st.lists(_SMALL_VALUES, min_size=nv, max_size=nv)) for _ in range(nrows)]
-    model = hand_built_model(objective, rows)
-    assert _dedup_columns(model) == fraction_keyed_groups(model)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     beta=st.fractions(0, 1, max_denominator=12),
@@ -423,8 +433,26 @@ def test_lp_matches_brute_force_vertex_enumeration():
         solve_min_haar(5, "inner", F(1, 2)),
     ]
     for _, model, solution in small:
-        assert len(model.variables) <= 6
+        assert len(model.group_of) <= 6  # variables of the ungrouped LP
         assert brute_force_lp_minimum(model) == solution.optimum
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(STANDARD_CASES),
+    beta=st.fractions(0, 1, max_denominator=30),
+    bound_mode=st.sampled_from(BOUND_MODES),
+)
+@example(case=("inner", 12), beta=F(1, 2), bound_mode=BOUND_HAAR_FRACTION)
+@example(case=("generic", 6), beta=F(1), bound_mode=BOUND_HAAR_FRACTION)
+def test_default_lp_matches_shape_closed_form(case, beta, bound_mode):
+    lattice, n = case
+    expected = shape_lp_minimum(lattice, n, beta, bound_mode)
+    if bound_mode == BOUND_HAAR_FRACTION:
+        assert min_haar_weight(n, lattice, beta) == expected
+    else:
+        _, _, solution = solve_min_haar(n, lattice, beta, bound_mode=bound_mode)
+        assert solution.optimum == expected
 
 
 def test_custom_test_directions_override():

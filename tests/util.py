@@ -45,16 +45,26 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
     return [M[r][n] for r in range(n)]
 
 
-def brute_force_lp_minimum(model) -> Fraction:
-    """Minimum of the model objective over all basic feasible vertices.
+def member_lp(model) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """The ungrouped LP: objective and >= rows with one entry per problem
+    support, each read from its group's column through group_of."""
+    objective = [model.objective[g] for g in model.group_of]
+    rows = [[row[g] for g in model.group_of] for row in model.ge_rows]
+    return objective, rows
 
-    Constraint list: the sum-to-one equality, every >= row, and every bound
-    w_j >= 0.  A vertex is any feasible solution of nv active constraints.
+
+def brute_force_lp_minimum(model) -> Fraction:
+    """Minimum of the ungrouped LP's objective over all basic feasible vertices.
+
+    One variable per problem support, not per group.  Constraint list: the
+    sum-to-one equality, every >= row, and every bound w_j >= 0.  A vertex is
+    any feasible solution of nv active constraints.
     """
-    nv = len(model.variables)
+    objective, ge_rows = member_lp(model)
+    nv = len(objective)
     rows: list[tuple[list[Fraction], Fraction]] = []
     rows.append(([Fraction(1)] * nv, Fraction(1)))  # equality, always re-checked as ==
-    for row, rhs in zip(model.ge_rows, model.ge_rhs):
+    for row, rhs in zip(ge_rows, model.ge_rhs):
         rows.append(([Fraction(v) for v in row], Fraction(rhs)))
     for j in range(nv):
         bound = [Fraction(0)] * nv
@@ -78,10 +88,39 @@ def brute_force_lp_minimum(model) -> Fraction:
         )
         if not feasible:
             continue
-        value = sum((c * v for c, v in zip(model.objective, x)), Fraction(0))
+        value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
         if best is None or value < best:
             best = value
     return best
+
+
+def shape_lp_minimum(lattice: str, n: int, beta: Fraction, bound_mode: str) -> Fraction:
+    """Closed-form minimum of the LP over the default (Weyl-orbit) directions.
+
+    The directions are S_n-invariant, so some optimum weighs all partitions
+    of one shape equally.  Spread evenly over the partitions with block sizes
+    s_b, weight delivers the share Σ_b s_b(s_b - 1) / (n(n - 1)) of the Haar
+    entropy at every direction.  So the minimum is
+    max(0, (βn(n-1) - c*)/(n(n-1) - c*)), c* the largest share numerator over
+    the lattice's shapes other than the full block.  At these directions every
+    positive exponent is equal, so the thm14 floor is half the Haar entropy.
+    """
+    if bound_mode == "thm14":
+        beta = Fraction(1, 2)
+
+    def shapes(rest: int, largest: int):
+        if rest == 0:
+            yield ()
+        for size in range(min(rest, largest), 0, -1):
+            for tail in shapes(rest - size, size):
+                yield (size, *tail)
+
+    allowed = [
+        s for s in shapes(n, n) if s != (n,) and (lattice == "generic" or len(set(s)) == 1)
+    ]
+    c_star = max(sum(size * (size - 1) for size in s) for s in allowed)
+    total = n * (n - 1)
+    return max(Fraction(0), (beta * total - c_star) / (total - c_star))
 
 
 def row_rank(rows: list[list[Fraction]]) -> int:
