@@ -6,19 +6,6 @@ bounding the Haar-component weight from below; and floating-point validation
 of the almost-orthogonality and oscillatory-decay estimates behind the bounds.
 """
 
-from .cotlar_stein import (
-    TOLERANCES,
-    CotlarCheck,
-    MatrixFamily,
-    OscillatoryDecay,
-    OscillatoryProblem,
-    cotlar_bound_check,
-    operator_norm,
-    orthogonal_projector_family,
-    oscillatory_decay,
-    run_validation_suite,
-    smooth_bump,
-)
 from .entropy import (
     DispersiveQuery,
     FastSlowSplit,
@@ -70,3 +57,19 @@ from .supports import (
 )
 
 __version__ = "0.1.0"
+
+# The float layer needs numpy; it is imported when one of its names is first read.
+_FLOAT_NAMES = ("TOLERANCES", "CotlarCheck", "MatrixFamily", "OscillatoryDecay",
+                "OscillatoryProblem", "cotlar_bound_check", "operator_norm", "smooth_bump",
+                "orthogonal_projector_family", "oscillatory_decay", "run_validation_suite")
+
+
+def __getattr__(name):
+    if name in _FLOAT_NAMES:
+        from . import cotlar_stein
+        return getattr(cotlar_stein, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_FLOAT_NAMES})

@@ -17,7 +17,6 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from .cotlar_stein import run_validation_suite
 from .entropy import (
     DispersiveQuery,
     conjectured_entropy_bound,
@@ -53,6 +52,12 @@ EXIT_CAPACITY = 3
 EXIT_VALIDATION = 4
 
 SEED_ENV_VAR = "HAARGAP_SEED"
+
+
+def run_validation_suite(seed: int) -> dict:
+    """The float layer's suite; numpy is imported only when it runs."""
+    from .cotlar_stein import run_validation_suite
+    return run_validation_suite(seed)
 
 
 def parse_rational(text: str) -> Fraction:

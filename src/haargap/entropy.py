@@ -113,6 +113,8 @@ def component_entropy_cap(rs: RootSystem, R: Partition | SupportSet | int, X: Ca
     The input is deliberately NOT dominantized: the rigidity linear program
     needs the cap at each orbit element separately.
     """
+    if isinstance(R, Partition) and sorted(i for block in R for i in block) != list(range(1, rs.n + 1)):
+        raise ValueError(f"{R} is not a partition of 1..{rs.n}")
     mask = R if isinstance(R, int) else R.mask
     _check_mask(rs, mask)
     total = Fraction(0)

@@ -155,6 +155,71 @@ def test_python_dash_m_runs_the_cli():
         assert json.loads(proc.stdout)["results"]["num_roots"] == 6, module
 
 
+FLOAT_NAMES = (
+    "TOLERANCES", "CotlarCheck", "MatrixFamily", "OscillatoryDecay", "OscillatoryProblem",
+    "cotlar_bound_check", "operator_norm", "orthogonal_projector_family", "oscillatory_decay",
+    "run_validation_suite", "smooth_bump",
+)
+
+
+def run_fresh_python(code):
+    """Run code in a new interpreter with haargap importable; return its stdout lines."""
+    src = str(Path(haargap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_exact_commands_never_import_numpy():
+    runs = [
+        ["roots", "--n", "4"],
+        ["spectrum", "--n", "4", "--direction", "3,-1,-1,-1"],
+        ["bound", "--n", "4", "--direction", "3,-1,-1,-1"],
+        ["supports", "--n", "5"],
+        ["haar-lp", "--n", "4", "--beta", "1/2"],
+        ["haar-lp", "--n", "4", "--beta", "1/2", "--direction", "3,-1,-1,-1"],
+        ["report"],
+        ["validate", "--seed", "0"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from haargap import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = cli.main(argv)\n"
+        "    print(argv[0], status, 'numpy' in sys.modules)\n"
+    )
+    loaded = [line.split() for line in run_fresh_python(code)]
+    expected = [[argv[0], "0", str(argv[0] == "validate")] for argv in runs]
+    assert loaded == expected
+
+
+def test_float_names_resolve_on_first_access():
+    code = (
+        "import sys\n"
+        "import haargap\n"
+        "print('numpy' in sys.modules)\n"
+        "from haargap import cotlar_stein\n"
+        f"for name in {FLOAT_NAMES!r}:\n"
+        "    namespace = {}\n"
+        "    exec(f'from haargap import {name} as imported', namespace)\n"
+        "    target = getattr(cotlar_stein, name)\n"
+        "    print(name, getattr(haargap, name) is target, namespace['imported'] is target,\n"
+        "          name in dir(haargap))\n"
+        "try:\n"
+        "    haargap.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    lines = run_fresh_python(code)
+    assert lines[0] == "False"
+    assert lines[1:-1] == [f"{name} True True True" for name in FLOAT_NAMES]
+    assert lines[-1] == "AttributeError"
+
+
 def test_supports_payload(capsys):
     code, payload = run_json(capsys, ["supports", "--n", "4", "--lattice", "generic"])
     assert code == 0

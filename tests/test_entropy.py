@@ -22,7 +22,7 @@ from haargap.roots import (
     dominant_representative,
     weyl_orbit,
 )
-from haargap.supports import make_support
+from haargap.supports import Partition, make_support
 from util import random_permutation, random_trace_zero
 
 
@@ -108,6 +108,16 @@ def test_component_entropy_cap_range_check():
     bad = make_support(build_type_a(4), build_type_a(4).full_mask())
     with pytest.raises(ValueError):
         component_entropy_cap(rs, bad, cartan(1, 0, -1))
+
+
+def test_component_entropy_cap_refuses_a_partition_of_another_n():
+    rs = build_type_a(4)
+    X = cartan(3, -1, -1, -1)
+    assert component_entropy_cap(rs, Partition(((1, 2, 3), (4,))), X) == 8
+    # {1,2,3} alone partitions {1,2,3}; read over n = 3 its mask names other roots of n = 4
+    for blocks in [((1, 2, 3),), ((1, 2), (3,), (5,))]:
+        with pytest.raises(ValueError):
+            component_entropy_cap(rs, Partition(blocks), X)
 
 
 def test_fast_slow_split_examples():
