@@ -9,10 +9,11 @@
   stationary point.
 
 Every operator norm is the top singular value from LAPACK's SVD (numpy's
-`linalg.svd`), taken over a whole stack of matrices at once: a family's cross
-norms and member norms are three batched calls.  This is the only module that
-touches floating point; every tolerance lives in the single `TOLERANCES`
-record below.
+`linalg.svd`), taken over a whole stack of matrices at once: a family's member
+norms are one batched call, and its cross norms two more over the pairs a < b
+only, since both cross norms are symmetric in the pair and the diagonal is the
+member norm.  This is the only module that touches floating point; every
+tolerance lives in the single `TOLERANCES` record below.
 """
 
 from __future__ import annotations
@@ -107,15 +108,19 @@ def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
     stack = np.stack(family.members)
     # first, so that a non-finite family is rejected before any SVD runs
     lhs = operator_norm(stack.sum(axis=0))
+    member_norms = _top_singular_values(stack)
     adjoints = stack.conj().transpose(0, 2, 1)
-    # entry (a, b) is ||A_a^* A_b||^(1/2), resp. ||A_a A_b^*||^(1/2)
-    star_products = np.sqrt(_top_singular_values(adjoints[:, None] @ stack[None, :]))
-    prod_products = np.sqrt(_top_singular_values(stack[:, None] @ adjoints[None, :]))
-    R1 = float(star_products.sum(axis=1).max())
-    R2 = float(prod_products.sum(axis=1).max())
+    # entry (a, b) is ||A_a^* A_b||^(1/2), resp. ||A_a A_b^*||^(1/2): symmetric
+    # in a and b and ||A_a|| on the diagonal, so only the pairs a < b are normed
+    a, b = np.triu_indices(len(stack), 1)
+    row_sums = []
+    for products in (adjoints[a] @ stack[b], stack[a] @ adjoints[b]):
+        table = np.diag(member_norms)
+        table[a, b] = table[b, a] = np.sqrt(_top_singular_values(products))
+        row_sums.append(float(table.sum(axis=1).max()))
+    R1, R2 = row_sums
     holds = lhs <= max(R1, R2) * (1.0 + TOLERANCES.bound_slack)
-    trivial = float(_top_singular_values(stack).sum())
-    return CotlarCheck(R1, R2, lhs, holds, trivial)
+    return CotlarCheck(R1, R2, lhs, holds, float(member_norms.sum()))
 
 
 def orthogonal_projector_family(num_blocks: int, block_size: int) -> MatrixFamily:
@@ -156,12 +161,14 @@ class OscillatoryProblem:
             raise ValueError("grid, phase and amplitude must be 1-d arrays of equal length")
         if grid.size < 3 or grid.size % 2 == 0:
             raise ValueError("composite Simpson needs an odd number of grid points (>= 3)")
+        if not all(np.isfinite(v).all() for v in (grid, phase, amplitude)):
+            raise ValueError("grid, phase and amplitude must be finite")
         steps = np.diff(grid)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("grid must be uniform")
         hbars = tuple(float(h) for h in self.hbar_values)
-        if not hbars or any(h <= 0 for h in hbars):
-            raise ValueError("hbar values must be positive")
+        if not hbars or not all(0 < h < math.inf for h in hbars):
+            raise ValueError("hbar values must be positive and finite")
         if any(b >= a for a, b in zip(hbars, hbars[1:])):
             raise ValueError("hbar values must be strictly decreasing")
         amax = float(np.abs(amplitude).max())
@@ -232,10 +239,16 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
     weights[2:-1:2] = 2.0
     weights *= dx / 3.0
 
+    # weights * amplitude * exp(1j * phase / h), operation for operation, in one buffer
+    weighted = weights * problem.amplitude
+    iphase = 1j * problem.phase
+    terms = np.empty_like(iphase)
     mags = []
     for h in problem.hbar_values:
-        integral = np.sum(weights * problem.amplitude * np.exp(1j * problem.phase / h))
-        mags.append(float(abs(integral)))
+        np.divide(iphase, h, out=terms)
+        np.exp(terms, out=terms)
+        np.multiply(weighted, terms, out=terms)
+        mags.append(float(abs(np.sum(terms))))
 
     usable = [(math.log(h), math.log(m)) for h, m in zip(problem.hbar_values, mags) if m > 0]
     if len(usable) >= 2:

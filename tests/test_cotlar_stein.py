@@ -149,6 +149,72 @@ def test_oscillatory_problem_validation():
         OscillatoryProblem(grid[:-1], grid[:-1], bump[:-1], (0.1, 0.01))
 
 
+_GRID = np.linspace(-1, 1, 101)
+
+
+def _spiked(values, spike):
+    values = values.copy()
+    values[50] = spike
+    return values
+
+
+def _problem_with(**changes):
+    fields = dict(grid=_GRID, phase=_GRID, amplitude=smooth_bump(_GRID), hbar_values=(0.1, 0.01))
+    fields.update(changes)
+    return OscillatoryProblem(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # a uniform step of inf: the uniformity check alone lets this grid through
+        {
+            "grid": np.array([-np.inf, 0.0, np.inf]),
+            "phase": np.zeros(3),
+            "amplitude": np.array([0.0, 1.0, 0.0]),
+        },
+        {"phase": _spiked(_GRID, np.nan)},
+        {"amplitude": _spiked(smooth_bump(_GRID), np.inf)},
+        {"hbar_values": (0.1, float("nan"), 0.02)},
+        {"hbar_values": (float("inf"), 0.1)},
+    ],
+    ids=["grid", "phase", "amplitude", "hbar-nan", "hbar-inf"],
+)
+def test_oscillatory_problem_rejects_non_finite(changes):
+    with pytest.raises(ValueError, match="finite"):
+        _problem_with(**changes)
+
+
+def _simpson_weights(grid):
+    weights = np.ones_like(grid)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return weights * ((grid[1] - grid[0]) / 3.0)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        OscillatoryProblem.from_functions(lambda x: x, smooth_bump),
+        OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump),
+        OscillatoryProblem.from_functions(
+            lambda x: np.sin(3 * x),
+            smooth_bump,
+            hbar_values=(0.2, 0.1, 0.05),
+            num_points=2**10 + 1,
+        ),
+    ],
+    ids=["nonstationary", "stationary", "short-grid"],
+)
+def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem):
+    weights = _simpson_weights(problem.grid)
+    expected = tuple(
+        float(abs(np.sum(weights * problem.amplitude * np.exp(1j * problem.phase / h))))
+        for h in problem.hbar_values
+    )
+    assert oscillatory_decay(problem).magnitudes == expected
+
+
 def test_validation_suite_passes_and_is_seeded():
     summary = run_validation_suite(seed=0)
     assert summary["all_passed"]
@@ -162,20 +228,33 @@ def _gram_norm(M):
 
 
 def test_cotlar_cross_norms_match_per_pair_oracle():
-    # batched SVDs against one Gram eigensolve per pair, on tall and wide families
-    signs = set()
-    for fam in seeded_family_corpus(seed=0, count=10):
+    # batched SVDs over the pairs a < b against one Gram eigensolve per ordered
+    # pair, on tall, wide and square families of 1, 2, 12 and other sizes
+    families = seeded_family_corpus(seed=0, count=10) + [
+        MatrixFamily.random_gaussian(1, 7, 3, seed=11),
+        MatrixFamily.random_gaussian(2, 3, 9, seed=12),
+        MatrixFamily.random_gaussian(12, 10, 4, seed=13),
+        MatrixFamily.random_gaussian(12, 5, 8, seed=14),
+        orthogonal_projector_family(4, 2),
+    ]
+    signs, sizes = set(), set()
+    for fam in families:
         members = fam.members
         rows, cols = fam.shape
         signs.add(np.sign(rows - cols))
+        sizes.add(len(members))
         R1 = max(sum(math.sqrt(_gram_norm(a.conj().T @ b)) for b in members) for a in members)
         R2 = max(sum(math.sqrt(_gram_norm(a @ b.conj().T)) for b in members) for a in members)
+        lhs = _gram_norm(sum(members))
         check = cotlar_bound_check(fam)
         assert check.R1 == pytest.approx(R1, rel=1e-12)
         assert check.R2 == pytest.approx(R2, rel=1e-12)
-        assert check.lhs == pytest.approx(_gram_norm(sum(members)), rel=1e-12)
+        assert check.lhs == pytest.approx(lhs, rel=1e-12)
         assert check.trivial_sum == pytest.approx(sum(map(_gram_norm, members)), rel=1e-12)
-    assert {-1, 1} <= signs
+        assert check.holds == (lhs <= max(R1, R2) * (1.0 + TOLERANCES.bound_slack))
+        assert check.holds
+    assert {-1, 0, 1} <= signs
+    assert {1, 2, 12} <= sizes
 
 
 def test_cotlar_rejects_non_finite_family():
