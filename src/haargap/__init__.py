@@ -10,7 +10,6 @@ from .entropy import (
     DispersiveQuery,
     FastSlowSplit,
     LyapunovSpectrum,
-    component_entropy_cap,
     conjectured_entropy_bound,
     dispersive_exponent,
     entropy_lower_bound,
@@ -48,12 +47,8 @@ from .roots import (
 from .supports import (
     CapacityError,
     Partition,
-    SupportSet,
-    closure_of,
     enumerate_block_partitions,
     enumerate_symmetric_closed,
-    is_admissible,
-    make_support,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ quantities are
 * the Haar entropy  sum over all roots of max(alpha(X), 0),
 * the proved entropy lower bound  sum over roots with alpha(X) >= chi_max/2
   of (alpha(X) - chi_max/2), where chi_max is the top exponent,
-* per-support entropy caps  sum over alpha in R of max(alpha(X), 0),
 * the split of exponents into slow (< 1/(2K)) and fast (>= 1/(2K)) ones for a
   log-time horizon constant K, and the resulting net power of the semiclassical
   parameter in the dispersive estimate.
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .roots import CartanElement, RootSystem, dominant_representative, evaluate_root
-from .supports import Partition, SupportSet, _check_mask, support_indices
 
 
 @dataclass(frozen=True)
@@ -105,24 +103,6 @@ def entropy_lower_bound(rs: RootSystem, X: CartanElement) -> Fraction:
 def conjectured_entropy_bound(rs: RootSystem, X: CartanElement) -> Fraction:
     """The stronger conjectural floor: half the Haar entropy."""
     return haar_entropy(rs, X) / 2
-
-
-def component_entropy_cap(rs: RootSystem, R: Partition | SupportSet | int, X: CartanElement) -> Fraction:
-    """Maximal entropy of a component supported on R, at this specific X.
-
-    The input is deliberately NOT dominantized: the rigidity linear program
-    needs the cap at each orbit element separately.
-    """
-    if isinstance(R, Partition) and sorted(i for block in R for i in block) != list(range(1, rs.n + 1)):
-        raise ValueError(f"{R} is not a partition of 1..{rs.n}")
-    mask = R if isinstance(R, int) else R.mask
-    _check_mask(rs, mask)
-    total = Fraction(0)
-    for k in support_indices(mask):
-        v = evaluate_root(rs, rs.roots[k], X)
-        if v > 0:
-            total += v
-    return total
 
 
 def fast_slow_split(rs: RootSystem, X: CartanElement, K) -> FastSlowSplit:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-# Largest n for which a root system is built: n(n-1) roots, each with an
-# n-entry vector, so the build is O(n^3) in time and memory.
+# Largest n for which a root system is built (n(n-1) roots and their index
+# tables), so that `roots --n` is bounded up front: n = 65 exits with code 3.
 ROOT_SYSTEM_MAX_N = 64
 
 
@@ -28,11 +28,10 @@ def _as_fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Root:
-    """The functional X -> X_i - X_j, stored with its coordinate vector e_i - e_j."""
+    """The functional X -> X_i - X_j, stored as its index pair (i, j), 1-based, i != j."""
 
     i: int
     j: int
-    vector: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -125,12 +124,8 @@ def build_type_a(n: int) -> RootSystem:
     roots = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
-                continue
-            vec = [Fraction(0)] * n
-            vec[i - 1] = Fraction(1)
-            vec[j - 1] = Fraction(-1)
-            roots.append(Root(i, j, tuple(vec)))
+            if i != j:
+                roots.append(Root(i, j))
     return RootSystem(n, roots)
 
 
@@ -196,7 +191,3 @@ def apply_permutation(X: CartanElement, perm: Sequence[int]) -> CartanElement:
         coords[p] = X.coords[k]
     return CartanElement(tuple(coords))
 
-
-def permute_root(rs: RootSystem, alpha: Root, perm: Sequence[int]) -> Root:
-    """Weyl action on roots: alpha_ij -> alpha_{perm(i) perm(j)} (0-based perm)."""
-    return rs.root(perm[alpha.i - 1] + 1, perm[alpha.j - 1] + 1)

@@ -11,7 +11,6 @@ for the generic lattice, those with equal-size blocks for inner forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .roots import CapacityError, RootSystem
 
@@ -22,16 +21,6 @@ KIND_EMPTY = "empty"
 KIND_PAIR = "pair"
 KIND_BLOCK = "block-partition"
 KIND_FULL = "full"
-KIND_OTHER = "other"
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """A root subset given as a bitmask: make_support's answer for a non-partition mask."""
-
-    mask: int
-    label: str
-    kind: str
 
 
 class Partition(tuple):
@@ -70,47 +59,6 @@ class Partition(tuple):
         return "∅" if kind == KIND_EMPTY else "Δ"
 
 
-def support_indices(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of a mask, ascending."""
-    if mask < 0:
-        raise ValueError(f"mask {mask} is negative")
-    out = []
-    m = mask
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
-
-
-def _check_mask(rs: RootSystem, mask: int) -> None:
-    if mask < 0 or mask >> len(rs):
-        raise ValueError(f"mask {mask:#x} does not fit a root system with {len(rs)} roots")
-
-
-def is_symmetric_mask(rs: RootSystem, mask: int) -> bool:
-    _check_mask(rs, mask)
-    return all(mask >> rs.negation[k] & 1 for k in support_indices(mask))
-
-
-def closure_of(rs: RootSystem, mask: int) -> int:
-    """Smallest addition-closed superset: α_ik and α_kj force α_ij when i != j.
-
-    This is the transitive closure of the index pairs, built one pivot k at a
-    time (Warshall).
-    """
-    _check_mask(rs, mask)
-    pairs = {(rs.roots[b].i, rs.roots[b].j) for b in support_indices(mask)}
-    for k in range(1, rs.n + 1):
-        into = [i for i, m in pairs if m == k]
-        out = [j for m, j in pairs if m == k]
-        pairs.update((i, j) for i in into for j in out if i != j)
-    closed = 0
-    for pair in pairs:
-        closed |= 1 << rs.index_of[pair]
-    return closed
-
-
 def _partitions(rest: tuple, sizes, prefix: tuple, out: list) -> None:
     """Append to out prefix + each partition of rest into blocks of the given sizes.
 
@@ -126,32 +74,6 @@ def _partitions(rest: tuple, sizes, prefix: tuple, out: list) -> None:
         for partners in itertools.combinations(others, size - 1):
             left = tuple(itertools.filterfalse(partners.__contains__, others))
             _partitions(left, sizes, (*prefix, (first, *partners)), out)
-
-
-def make_support(rs: RootSystem, mask: int) -> Partition | SupportSet:
-    """The Partition whose support is the mask, or else a SupportSet of kind `other`.
-
-    Each index's partners {i} ∪ {j : α_ij ∈ mask} are its candidate block; the
-    mask is admissible exactly when those blocks rebuild it.  Any other mask
-    is labelled by its positive roots.
-    """
-    _check_mask(rs, mask)
-    partners = {i: {i} for i in range(1, rs.n + 1)}
-    idx = support_indices(mask)
-    for k in idx:
-        partners[rs.roots[k].i].add(rs.roots[k].j)
-    support = Partition(sorted({tuple(sorted(p)) for p in partners.values()}))
-    if support.mask == mask:
-        return support
-    pos = [rs.roots[k] for k in idx if rs.roots[k].i < rs.roots[k].j]
-    label = "{" + ", ".join(f"±α_{r.i}{r.j}" for r in pos) + "}"
-    return SupportSet(mask, label, KIND_OTHER)
-
-
-def is_admissible(rs: RootSystem, R: Partition | SupportSet) -> bool:
-    """True iff R is symmetric and addition-closed."""
-    _check_mask(rs, R.mask)
-    return is_symmetric_mask(rs, R.mask) and closure_of(rs, R.mask) == R.mask
 
 
 def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:

@@ -7,7 +7,6 @@ import pytest
 
 from haargap.entropy import (
     DispersiveQuery,
-    component_entropy_cap,
     conjectured_entropy_bound,
     dispersive_exponent,
     entropy_lower_bound,
@@ -22,8 +21,8 @@ from haargap.roots import (
     dominant_representative,
     weyl_orbit,
 )
-from haargap.supports import Partition, make_support
-from util import random_permutation, random_trace_zero
+from haargap.supports import Partition
+from util import component_entropy_cap, make_support, random_permutation, random_trace_zero
 
 
 def pair_support(rs, i, j):

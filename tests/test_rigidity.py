@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from haargap.entropy import component_entropy_cap, haar_entropy
+from haargap.entropy import haar_entropy
 from haargap.rigidity import (
     BOUND_HAAR_FRACTION,
     BOUND_MODES,
@@ -26,8 +26,14 @@ from haargap.rigidity import (
     verify_solution,
 )
 from haargap.roots import CartanElement, build_type_a, cartan, weyl_orbit
-from haargap.supports import CapacityError, enumerate_symmetric_closed, make_support
-from util import brute_force_lp_minimum, member_lp, shape_lp_minimum
+from haargap.supports import CapacityError, enumerate_symmetric_closed
+from util import (
+    brute_force_lp_minimum,
+    component_entropy_cap,
+    make_support,
+    member_lp,
+    shape_lp_minimum,
+)
 
 
 def sl3_problem(beta, **kw):

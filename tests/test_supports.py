@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haargap.entropy import component_entropy_cap
 from haargap.roots import build_type_a, cartan
-from haargap.supports import (
-    CapacityError,
+from haargap.supports import CapacityError, enumerate_block_partitions, enumerate_symmetric_closed
+from util import (
     SupportSet,
     closure_of,
-    enumerate_block_partitions,
-    enumerate_symmetric_closed,
+    component_entropy_cap,
     is_admissible,
     is_symmetric_mask,
     make_support,
@@ -241,6 +239,14 @@ def test_make_support_labels_unicode_cases():
     three_one = enumerate_symmetric_closed(rs)[10]
     assert three_one.kind == "block-partition"
     assert three_one.label.startswith("blocks {")
+    pair = make_support(rs, rs.pair_mask(2, 4))
+    assert (pair.kind, pair.label) == ("pair", "{±α_24}")
+    assert make_support(rs, three_one.mask) == three_one
+    two_pairs = make_support(rs, rs.pair_mask(1, 3) | rs.pair_mask(2, 4))
+    assert (two_pairs.kind, two_pairs.label) == ("block-partition", "blocks {1,3}{2,4}")
+    rs3 = build_type_a(3)
+    other = make_support(rs3, rs3.pair_mask(1, 2) | rs3.pair_mask(1, 3))
+    assert (other.kind, other.label) == ("other", "{±α_12, ±α_13}")
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,18 +1,26 @@
-"""Shared test helpers: random exact data and the brute-force LP oracles.
+"""Shared test helpers: random exact data, mask-based support oracles and the
+brute-force LP oracles.
 
-The oracles are deliberately independent of the production simplex: they
-enumerate every choice of active constraints (or of basic columns), solve the
-square system by rational Gaussian elimination, filter for feasibility and
-take the best objective value.
+The support oracles work on bitmasks over build_type_a(n)'s root order, a
+representation the program does not use: it reads supports only as Partition
+blocks.  The LP oracles are deliberately independent of the production
+simplex: they enumerate every choice of active constraints (or of basic
+columns), solve the square system by rational Gaussian elimination, filter
+for feasibility and take the best objective value.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from haargap.roots import CartanElement
+from haargap.roots import CartanElement, Root, RootSystem, evaluate_root
+from haargap.supports import Partition
+
+KIND_OTHER = "other"
 
 
 def random_trace_zero(rng: random.Random, n: int) -> CartanElement:
@@ -25,6 +33,113 @@ def random_permutation(rng: random.Random, n: int) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def root_vector(rs: RootSystem, alpha: Root) -> tuple[Fraction, ...]:
+    """The coordinate vector e_i - e_j of alpha_ij."""
+    vec = [Fraction(0)] * rs.n
+    vec[alpha.i - 1] = Fraction(1)
+    vec[alpha.j - 1] = Fraction(-1)
+    return tuple(vec)
+
+
+def permute_root(rs: RootSystem, alpha: Root, perm: Sequence[int]) -> Root:
+    """Weyl action on roots: alpha_ij -> alpha_{perm(i) perm(j)} (0-based perm)."""
+    return rs.root(perm[alpha.i - 1] + 1, perm[alpha.j - 1] + 1)
+
+
+@dataclass(frozen=True)
+class SupportSet:
+    """A root subset given as a bitmask: make_support's answer for a non-partition mask."""
+
+    mask: int
+    label: str
+    kind: str
+
+
+def support_indices(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a mask, ascending."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    out = []
+    m = mask
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
+def _check_mask(rs: RootSystem, mask: int) -> None:
+    if mask < 0 or mask >> len(rs):
+        raise ValueError(f"mask {mask:#x} does not fit a root system with {len(rs)} roots")
+
+
+def is_symmetric_mask(rs: RootSystem, mask: int) -> bool:
+    _check_mask(rs, mask)
+    return all(mask >> rs.negation[k] & 1 for k in support_indices(mask))
+
+
+def closure_of(rs: RootSystem, mask: int) -> int:
+    """Smallest addition-closed superset: α_ik and α_kj force α_ij when i != j.
+
+    This is the transitive closure of the index pairs, built one pivot k at a
+    time (Warshall).
+    """
+    _check_mask(rs, mask)
+    pairs = {(rs.roots[b].i, rs.roots[b].j) for b in support_indices(mask)}
+    for k in range(1, rs.n + 1):
+        into = [i for i, m in pairs if m == k]
+        out = [j for m, j in pairs if m == k]
+        pairs.update((i, j) for i in into for j in out if i != j)
+    closed = 0
+    for pair in pairs:
+        closed |= 1 << rs.index_of[pair]
+    return closed
+
+
+def make_support(rs: RootSystem, mask: int) -> Partition | SupportSet:
+    """The Partition whose support is the mask, or else a SupportSet of kind `other`.
+
+    Each index's partners {i} ∪ {j : α_ij ∈ mask} are its candidate block; the
+    mask is admissible exactly when those blocks rebuild it.  Any other mask
+    is labelled by its positive roots.
+    """
+    _check_mask(rs, mask)
+    partners = {i: {i} for i in range(1, rs.n + 1)}
+    idx = support_indices(mask)
+    for k in idx:
+        partners[rs.roots[k].i].add(rs.roots[k].j)
+    support = Partition(sorted({tuple(sorted(p)) for p in partners.values()}))
+    if support.mask == mask:
+        return support
+    pos = [rs.roots[k] for k in idx if rs.roots[k].i < rs.roots[k].j]
+    label = "{" + ", ".join(f"±α_{r.i}{r.j}" for r in pos) + "}"
+    return SupportSet(mask, label, KIND_OTHER)
+
+
+def is_admissible(rs: RootSystem, R: Partition | SupportSet) -> bool:
+    """True iff R is symmetric and addition-closed."""
+    _check_mask(rs, R.mask)
+    return is_symmetric_mask(rs, R.mask) and closure_of(rs, R.mask) == R.mask
+
+
+def component_entropy_cap(rs: RootSystem, R: Partition | SupportSet | int, X: CartanElement) -> Fraction:
+    """Maximal entropy of a component supported on R, at this specific X.
+
+    The input is deliberately NOT dominantized: the rigidity linear program
+    needs the cap at each orbit element separately.
+    """
+    if isinstance(R, Partition) and sorted(i for block in R for i in block) != list(range(1, rs.n + 1)):
+        raise ValueError(f"{R} is not a partition of 1..{rs.n}")
+    mask = R if isinstance(R, int) else R.mask
+    _check_mask(rs, mask)
+    total = Fraction(0)
+    for k in support_indices(mask):
+        v = evaluate_root(rs, rs.roots[k], X)
+        if v > 0:
+            total += v
+    return total
 
 
 def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
