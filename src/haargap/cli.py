@@ -9,6 +9,7 @@ only in `validate` payloads.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,6 +54,11 @@ EXIT_VALIDATION = 4
 
 SEED_ENV_VAR = "HAARGAP_SEED"
 
+# Fraction evaluates 10**exponent in full, so one short argument such as
+# 1e-999999999 would run for minutes; an integer past the interpreter's
+# 4300-digit int-to-str limit could not be printed anyway.
+MAX_DECIMAL_EXPONENT = 4300
+
 
 def run_validation_suite(seed: int) -> dict:
     """The float layer's suite; numpy is imported only when it runs."""
@@ -61,6 +67,14 @@ def run_validation_suite(seed: int) -> dict:
 
 
 def parse_rational(text: str) -> Fraction:
+    try:
+        exponent = int(text.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # no integer exponent: Fraction judges the text itself
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"cannot parse {text!r}: decimal exponents are limited to ±{MAX_DECIMAL_EXPONENT}"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -398,10 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

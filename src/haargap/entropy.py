@@ -19,10 +19,12 @@ symbolic and never materialize as numbers here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .roots import CartanElement, RootSystem, dominant_representative, evaluate_root
+from .roots import CartanElement, RootSystem, dominant_representative
 
 
 @dataclass(frozen=True)
@@ -66,22 +68,34 @@ class DispersiveQuery:
             raise ValueError(f"horizon constant K must be positive, got {self.K}")
 
 
+def _scaled(rs: RootSystem, X: CartanElement) -> tuple[list[int], int]:
+    """X's coordinates times d, the lcm of their denominators, and d."""
+    if X.n != rs.n:
+        raise ValueError(f"dimension mismatch: root system has n={rs.n}, element has n={X.n}")
+    d = math.lcm(*(c.denominator for c in X.coords))
+    return [c.numerator * (d // c.denominator) for c in X.coords], d
+
+
 def lyapunov_spectrum(rs: RootSystem, X: CartanElement) -> LyapunovSpectrum:
-    """Positive-root exponents of the dominant representative of X, one per root."""
-    Xd = dominant_representative(X)
-    values = sorted(evaluate_root(rs, rs.roots[k], Xd) for k in rs.positive_indices)
+    """Positive-root exponents of the dominant representative of X, one per root.
+
+    The positive roots take the values |X_i - X_j| (i < j) on the dominant
+    representative, so the exponents are read off X scaled to integers.
+    """
+    x, d = _scaled(rs, X)
+    values = tuple(Fraction(v, d) for v in sorted(abs(a - b) for a, b in combinations(x, 2)))
     chi_max = values[-1] if values else Fraction(0)
-    return LyapunovSpectrum(tuple(values), chi_max, Xd)
+    return LyapunovSpectrum(values, chi_max, dominant_representative(X))
 
 
 def haar_entropy(rs: RootSystem, X: CartanElement) -> Fraction:
-    """Entropy of Haar measure under e^X: sum of positive parts over all roots."""
-    total = Fraction(0)
-    for root in rs.roots:
-        v = evaluate_root(rs, root, X)
-        if v > 0:
-            total += v
-    return total
+    """Entropy of Haar measure under e^X: sum of positive parts over all roots.
+
+    One of alpha_ij, alpha_ji is positive on X unless both vanish, so the sum is
+    that of |X_i - X_j| over i < j, taken on X scaled to integers.
+    """
+    x, d = _scaled(rs, X)
+    return Fraction(sum(abs(a - b) for a, b in combinations(x, 2)), d)
 
 
 def entropy_lower_bound(rs: RootSystem, X: CartanElement) -> Fraction:
@@ -89,15 +103,14 @@ def entropy_lower_bound(rs: RootSystem, X: CartanElement) -> Fraction:
 
     Sums alpha(X) - chi_max/2 over exponents with
     alpha(X) >= chi_max/2; the comparison is closed, so ties are kept.
-    X is dominantized internally.  Zero for X = 0.
+    The exponents are the |X_i - X_j| and chi_max = max X - min X; on X scaled
+    to integers each term is (2 alpha - chi_max)/2, summed over 2 alpha >= chi_max.
+    Zero for X = 0.
     """
-    spec = lyapunov_spectrum(rs, X)
-    half_max = spec.chi_max / 2
-    total = Fraction(0)
-    for v in spec.values:
-        if v >= half_max:
-            total += v - half_max
-    return total
+    x, d = _scaled(rs, X)
+    chi = max(x) - min(x)
+    twice = (2 * abs(a - b) for a, b in combinations(x, 2))
+    return Fraction(sum(t - chi for t in twice if t >= chi), 2 * d)
 
 
 def conjectured_entropy_bound(rs: RootSystem, X: CartanElement) -> Fraction:
@@ -110,7 +123,10 @@ def fast_slow_split(rs: RootSystem, X: CartanElement, K) -> FastSlowSplit:
     K = Fraction(K)
     if K <= 0:
         raise ValueError(f"horizon constant K must be positive, got {K}")
-    spec = lyapunov_spectrum(rs, X)
+    return _split(lyapunov_spectrum(rs, X), K)
+
+
+def _split(spec: LyapunovSpectrum, K: Fraction) -> FastSlowSplit:
     threshold = Fraction(1, 2) / K
     slow = tuple(i for i, v in enumerate(spec.values) if v < threshold)
     fast = tuple(i for i, v in enumerate(spec.values) if v >= threshold)
@@ -125,7 +141,7 @@ def dispersive_exponent(q: DispersiveQuery, rs: RootSystem) -> Fraction:
     tube-width slack stay symbolic.
     """
     spec = lyapunov_spectrum(rs, q.direction)
-    split = fast_slow_split(rs, q.direction, q.K)
+    split = _split(spec, q.K)
     total = Fraction(0)
     for i in split.fast_indices:
         total += q.K * spec.values[i] - Fraction(1, 2)

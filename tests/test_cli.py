@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import haargap
@@ -262,6 +264,19 @@ def test_capacity_exit_code(capsys):
         assert "n <= 64" in capsys.readouterr().err
 
 
+def test_huge_decimal_exponents_are_refused_at_once(capsys):
+    # Fraction would expand each of these to 10**exponent before anything ran
+    for argv in (["haar-lp", "--n", "3", "--beta", "1e-999999999"],
+                 ["bound", "--n", "3", "--direction", "2,-1,-1", "--K", "1e999999999"],
+                 ["bound", "--n", "3", "--direction=1e10000000,-1e10000000,0"]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert "exponents are limited" in capsys.readouterr().err
+    assert cli.parse_rational("1e4300") == 10**4300
+    assert cli.parse_rational("-5e-4300") == Fraction(-5, 10**4300)
+
+
 def test_beta_out_of_range_is_invalid_input(capsys):
     code = cli.main(["haar-lp", "--n", "3", "--beta", "3/2"])
     assert code == 2
@@ -350,3 +365,23 @@ def test_version_flag(capsys):
     code = cli.main(["--version"])
     assert code == 0
     assert "haargap" in capsys.readouterr().out
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # one parser serves every main() call in a process: each run must print
+    # and exit exactly as the same command run alone in a fresh interpreter
+    commands = [
+        ["haar-lp", "--n", "3", "--beta", "1/2", "--direction=2,-1,-1", "--direction=-1,2,-1"],
+        ["haar-lp", "--n", "3", "--beta", "half"],
+        ["--version"],
+        ["haar-lp", "--n", "3", "--beta", "1/2", "--direction=-1,-1,2"],
+    ]
+    src = Path(haargap.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in commands:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "haargap", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
+    assert json.loads(captured.out)["inputs"]["direction"] == ["-1,-1,2"]

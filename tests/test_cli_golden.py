@@ -6,7 +6,10 @@ Fraction sums to integer popcounts, so a change to any payload, table
 rendering or exit code fails here.  The list covers `supports` (generic
 n = 2..6, inner n = 2..12), `haar-lp` (generic n = 3..6 at several β in both
 bound modes, inner n = 3..10, custom directions, a table render, capacity and
-invalid-input cases), `report` in both formats and `roots`.
+invalid-input cases), `report` in both formats and `roots`.  The `bound` and
+`spectrum` entries (fractional, tied and zero directions, with and without
+--K) and the two thm14 runs on fractional custom directions were recorded
+before the entropy bounds moved from one Fraction per root to integers.
 """
 
 import contextlib
@@ -86,6 +89,26 @@ GOLDEN = {
     "roots --n 4 --direction=3,-1,-1,-1": ("f826471cad0099913901675d0f37d279ca5cb333f6b23d5862dbfadd8f4d0eb3", 0),
     "roots --n 10 --direction=9,7,5,3,1,-1,-3,-5,-7,-9": ("48a1d62205e83029af4e027002888f9d1778411c806c8f62a601d359395dcb6c", 0),
     "roots --n 65": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    "bound --n 3 --direction=2,-1,-1": ("c616b8533e9bf2ef682f980ca481add48fd85afda24044e1ad91f9adbfad2e50", 0),
+    "bound --n 4 --direction=1/2,-1/3,1/6,-1/3": ("78056c8f2653f5b35acefdc7fb1d86e3cd7c6a3a0901b890c5d0f50317b08afc", 0),
+    "bound --n 4 --direction=1,1,-1,-1": ("25814d8b4001e8dae9b8c006f92512df52a904474ff05337a13a7e4d63c5c45e", 0),
+    "bound --n 3 --direction=0,0,0": ("f58e7c661852fe9c06372d93f2a7948024d5fd8acb35f82922633de77902c3e3", 0),
+    "bound --n 5 --direction=3/2,-1/4,-1/4,-1/2,-1/2 --K 2/3": ("8414c27e0b7d7f7b3abd7e55133e35f4a255ec4b8265cf0323fb92e03d6af3d7", 0),
+    "bound --n 4 --direction=3,-1,-1,-1 --K 1/3": ("31a835ce1c1e6da2166676b7ec3c1088b40c34d3b390afea8b93e5ee5a897726", 0),
+    "bound --n 6 --direction=5/7,5/7,1/3,-1/3,-5/7,-5/7 --K 7/4": ("48a0574ed1a17c4191a47dd4d455692668d2dd83c27e5a6366d6a7cbe3dee9dc", 0),
+    "bound --n 3 --direction=0,0,0 --K 1": ("c86ac3b54d4b91dbc5efd8f1de2d0194e645fcf4bfd7729b50a317820e8cb05c", 0),
+    "bound --n 4 --direction=1,1,-1,-1 --K 1/2 --format table": ("6503e143ec2e2ee6a4c491260aee2387e768ebf606b0875e3eb7b8d979d436ee", 0),
+    "bound --n 4 --direction=1,-1,0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "spectrum --n 3 --direction=2,-1,-1": ("d23076c9f36d6b2adc5b2d93ea51be4aa3dcd80aa0a8af6580473f0c512ec6e9", 0),
+    "spectrum --n 4 --direction=1/2,-1/3,1/6,-1/3": ("0b7ee5880146928226fc4a6fac7e8ace1bbd44bf12267d01f49de2398de0cbc1", 0),
+    "spectrum --n 4 --direction=1,1,-1,-1": ("9d00fb7b3bff8d74a7d352dac8d5d0e77193f7913e95fdfbd319f62100600fc0", 0),
+    "spectrum --n 3 --direction=0,0,0": ("5fc2b90bfb290213c5b1c98fcb876819c7613bcfa018f461fd2c8554af9de798", 0),
+    "spectrum --n 5 --direction=3/2,-1/4,-1/4,-1/2,-1/2 --K 2/3": ("23ecdd8085de29e5aa33c0de4f7f58d4449d9bc2ac58340a23e9d171549b683f", 0),
+    "spectrum --n 6 --direction=5/7,5/7,1/3,-1/3,-5/7,-5/7 --K 7/4": ("5421d52517c08f2ca882b3c4eab47b4d4fd4462536f7a67af2df67b39c0719d2", 0),
+    "spectrum --n 3 --direction=0,0,0 --K 1": ("98171dcad0823042c31a31b1e528ca1f9d8005bc26d9f60a40eaeccd1f3a1403", 0),
+    "spectrum --n 4 --direction=1,1,-1,-1 --K 1/2 --format table": ("cdd28696dba9b4713c067a64d37f726757458d987365fdcaf9a0eb590cfe0a04", 0),
+    "haar-lp --n 4 --beta 1/2 --bound-mode thm14 --direction=-1/2,3/2,-1/3,-2/3 --direction=5/7,-5/7,1/3,-1/3 --direction=1,1,-1,-1": ("30b4abbb0db456c1f53e42bb6ace95798b38d90f5f9d4eb5448dceaca6ef81b4", 0),
+    "haar-lp --n 3 --beta 1/2 --bound-mode thm14 --direction=2/3,-1/3,-1/3 --direction=-1/3,2/3,-1/3 --direction=-1/3,-1/3,2/3 --direction=1/2,0,-1/2": ("eb3b346538b16009909ad2f2347e0db51c3fed0d484ccd4ca118664528cab1ad", 0),
 }
 
 

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import util
 from haargap.entropy import (
     DispersiveQuery,
     conjectured_entropy_bound,
@@ -15,6 +18,7 @@ from haargap.entropy import (
     lyapunov_spectrum,
 )
 from haargap.roots import (
+    CartanElement,
     apply_permutation,
     build_type_a,
     cartan,
@@ -149,6 +153,17 @@ def test_dispersive_exponent_examples():
     assert dispersive_exponent(DispersiveQuery(Fraction(1, 10**9), X), rs) == 0
 
 
+def test_dispersive_exponent_builds_the_spectrum_once(monkeypatch):
+    import haargap.entropy as entropy_module
+
+    built = []
+    spectrum = entropy_module.lyapunov_spectrum
+    monkeypatch.setattr(entropy_module, "lyapunov_spectrum",
+                        lambda rs, X: built.append(X) or spectrum(rs, X))
+    assert dispersive_exponent(DispersiveQuery(Fraction(1, 3), cartan(2, -1, -1)), build_type_a(3)) == 1
+    assert len(built) == 1
+
+
 def test_bridge_identity_random_dominant():
     rng = random.Random(101)
     for n in (3, 4, 5):
@@ -219,3 +234,54 @@ def test_cap_symmetry_and_full_cap():
         for R in pairs:
             assert component_entropy_cap(rs, R, X) == component_entropy_cap(rs, R, X.negated())
         assert component_entropy_cap(rs, full_support(rs), X) == haar_entropy(rs, X)
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+@st.composite
+def rational_directions(draw):
+    """Trace-zero directions, n = 2..8: generic, tied, zero or all equal but one."""
+    n = draw(st.integers(2, 8))
+    shape = draw(st.sampled_from(("generic", "tied", "zero", "all-but-one")))
+    if shape == "zero":
+        return CartanElement((0,) * n)
+    if shape == "all-but-one":
+        a = draw(RATIONALS)
+        coords = [a] * (n - 1) + [-(n - 1) * a]
+        return CartanElement(tuple(draw(st.permutations(coords))))
+    if shape == "tied":
+        pool = draw(st.lists(RATIONALS, min_size=1, max_size=max(1, n - 1)))
+        head = draw(st.lists(st.sampled_from(pool), min_size=n - 1, max_size=n - 1))
+    else:
+        head = draw(st.lists(RATIONALS, min_size=n - 1, max_size=n - 1))
+    return CartanElement((*head, -sum(head, Fraction(0))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(X=rational_directions())
+def test_integer_bounds_equal_the_root_by_root_oracles(X):
+    rs = build_type_a(X.n)
+    assert lyapunov_spectrum(rs, X) == util.lyapunov_spectrum(rs, X)
+    assert haar_entropy(rs, X) == util.haar_entropy(rs, X)
+    assert entropy_lower_bound(rs, X) == util.entropy_lower_bound(rs, X)
+
+
+@pytest.mark.parametrize(
+    "fn, oracle",
+    [
+        (lyapunov_spectrum, util.lyapunov_spectrum),
+        (haar_entropy, util.haar_entropy),
+        (entropy_lower_bound, util.entropy_lower_bound),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_dimension_mismatch_raises_the_oracles_error(fn, oracle):
+    X = cartan(Fraction(1, 3), 0, Fraction(-1, 3))
+    for n in (2, 4):
+        rs = build_type_a(n)
+        with pytest.raises(ValueError) as expected:
+            oracle(rs, X)
+        with pytest.raises(ValueError) as got:
+            fn(rs, X)
+        assert str(got.value) == str(expected.value)

@@ -1,5 +1,5 @@
-"""Shared test helpers: random exact data, mask-based support oracles and the
-brute-force LP oracles.
+"""Shared test helpers: random exact data, mask-based support oracles, the
+root-by-root entropy oracles and the brute-force LP oracles.
 
 The support oracles work on bitmasks over build_type_a(n)'s root order, a
 representation the program does not use: it reads supports only as Partition
@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from haargap.roots import CartanElement, Root, RootSystem, evaluate_root
+from haargap.entropy import LyapunovSpectrum
+from haargap.roots import (
+    CartanElement,
+    Root,
+    RootSystem,
+    dominant_representative,
+    evaluate_root,
+)
 from haargap.supports import Partition
 
 KIND_OTHER = "other"
@@ -139,6 +146,40 @@ def component_entropy_cap(rs: RootSystem, R: Partition | SupportSet | int, X: Ca
         v = evaluate_root(rs, rs.roots[k], X)
         if v > 0:
             total += v
+    return total
+
+
+def lyapunov_spectrum(rs: RootSystem, X: CartanElement) -> LyapunovSpectrum:
+    """Positive-root exponents of the dominant representative of X, one per root."""
+    Xd = dominant_representative(X)
+    values = sorted(evaluate_root(rs, rs.roots[k], Xd) for k in rs.positive_indices)
+    chi_max = values[-1] if values else Fraction(0)
+    return LyapunovSpectrum(tuple(values), chi_max, Xd)
+
+
+def haar_entropy(rs: RootSystem, X: CartanElement) -> Fraction:
+    """Entropy of Haar measure under e^X: sum of positive parts over all roots."""
+    total = Fraction(0)
+    for root in rs.roots:
+        v = evaluate_root(rs, root, X)
+        if v > 0:
+            total += v
+    return total
+
+
+def entropy_lower_bound(rs: RootSystem, X: CartanElement) -> Fraction:
+    """Proved entropy floor for the flow in direction X.
+
+    Sums alpha(X) - chi_max/2 over exponents with
+    alpha(X) >= chi_max/2; the comparison is closed, so ties are kept.
+    X is dominantized internally.  Zero for X = 0.
+    """
+    spec = lyapunov_spectrum(rs, X)
+    half_max = spec.chi_max / 2
+    total = Fraction(0)
+    for v in spec.values:
+        if v >= half_max:
+            total += v - half_max
     return total
 
 
