@@ -81,16 +81,30 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"cannot parse {text!r} as a rational 'p/q'") from exc
 
 
+def _printable_rational(text: str) -> Fraction:
+    """parse_rational(text), refused when its numerator or denominator has more
+    digits than sys.get_int_max_str_digits() allows (0: no limit), so that no
+    command runs on an input its answer could not print."""
+    value = parse_rational(text)
+    try:
+        str(value)
+    except ValueError:
+        raise ValueError(
+            f"cannot use {text!r}: its numerator or denominator has more than "
+            f"{sys.get_int_max_str_digits()} digits and could not be printed"
+        ) from None
+    return value
+
+
 def parse_direction(text: str) -> CartanElement:
-    parts = [p.strip() for p in text.split(",")]
-    coords = tuple(parse_rational(p) for p in parts)
+    coords = tuple(_printable_rational(p.strip()) for p in text.split(","))
     # CartanElement rejects off-trace input, reporting the computed trace
     return CartanElement(coords)
 
 
 def _rational_arg(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        return _printable_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -103,7 +117,8 @@ def _direction_arg(text: str) -> CartanElement:
 
 
 def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
+    # every exact value reaching here is already a Fraction: "p/q", or "p" when q = 1
+    return str(x)
 
 
 def _emit(args, command: str, inputs: dict, results: dict, table: str) -> None:

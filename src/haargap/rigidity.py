@@ -16,13 +16,11 @@ arithmetic; no floating point enters this module.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import simplex
-from .entropy import entropy_lower_bound, haar_entropy
+from .entropy import _scaled, entropy_lower_bound, haar_entropy
 from .roots import CartanElement, RootSystem, build_type_a, cartan, weyl_orbit
 from .supports import (
     KIND_FULL,
@@ -63,7 +61,7 @@ class LPModel:
 
     Supports with equal columns form one group, one variable: variables,
     supports (each group's first member), objective and ge_rows' columns run
-    over the groups.  Group g has counts[g] members; support m is in group_of[m].
+    over the groups.  Support m is in group_of[m].
     """
 
     variables: tuple[str, ...]
@@ -72,7 +70,6 @@ class LPModel:
     objective: tuple[Fraction, ...]
     ge_rows: tuple[tuple[Fraction, ...], ...]
     ge_rhs: tuple[Fraction, ...]
-    counts: tuple[int, ...]
     group_of: tuple[int, ...]
 
 
@@ -108,6 +105,8 @@ def build_lp(problem: RigidityProblem) -> LPModel:
     sum of |X_i - X_j| over the pairs i < j inside its blocks.  These integer
     sums (X scaled once) make one key per support with a lane per direction;
     supports with equal keys form one group, whose column is built once.
+    Both bounds are invariant under permuting X's coordinates, so each is
+    computed once per distinct (sorted scaled coordinates, denominator).
     """
     rs = problem.rs
     supports = problem.supports
@@ -131,8 +130,7 @@ def build_lp(problem: RigidityProblem) -> LPModel:
         if X.is_zero():
             raise ValueError("test directions must be nonzero")
 
-    denoms = [math.lcm(*(c.denominator for c in X.coords)) for X in problem.test_directions]
-    scaled = [[int(c * d) for c in X.coords] for X, d in zip(problem.test_directions, denoms)]
+    scaled, denoms = zip(*(_scaled(rs, X) for X in problem.test_directions))
     pairs = list(itertools.combinations(range(rs.n), 2))
     # no support's cap exceeds Δ's, the sum over all pairs, so a lane as wide
     # as the largest such sum never carries into the next
@@ -160,15 +158,20 @@ def build_lp(problem: RigidityProblem) -> LPModel:
         tuple(Fraction(key >> d * width & lane, denom) for key in first)
         for d, denom in enumerate(denoms)
     )
-    if problem.bound_mode == BOUND_HAAR_FRACTION:
-        rhs = tuple(problem.beta * haar_entropy(rs, X) for X in problem.test_directions)
-    else:
-        rhs = tuple(entropy_lower_bound(rs, X) for X in problem.test_directions)
+    orbit_bound: dict[tuple, Fraction] = {}
+    rhs = []
+    for X, x, d in zip(problem.test_directions, scaled, denoms):
+        key = (tuple(sorted(x)), d)
+        if key not in orbit_bound:
+            if problem.bound_mode == BOUND_HAAR_FRACTION:
+                orbit_bound[key] = problem.beta * haar_entropy(rs, X)
+            else:
+                orbit_bound[key] = entropy_lower_bound(rs, X)
+        rhs.append(orbit_bound[key])
     objective = tuple(Fraction(1) if s == full else _ZERO for s in reps)
     group_of = tuple(map(group.__getitem__, keys))
-    counts = tuple(map(Counter(group_of).__getitem__, range(len(reps))))
     labels = tuple(s.label for s in reps)
-    return LPModel(labels, reps, problem.test_directions, objective, rows, rhs, counts, group_of)
+    return LPModel(labels, reps, problem.test_directions, objective, rows, tuple(rhs), group_of)
 
 
 def solve_lp(model: LPModel) -> LPSolution:

@@ -70,7 +70,7 @@ def cartan(*coords) -> CartanElement:
 
 
 class RootSystem:
-    """The A_{n-1} root system of SL_n with its index and negation tables.
+    """The A_{n-1} root system of SL_n with its index table.
 
     Roots are ordered lexicographically by their index pair (i, j), i != j,
     1-based; this order is deterministic, so bitmasks over root indices are
@@ -87,9 +87,6 @@ class RootSystem:
         }
         self.positive_indices: tuple[int, ...] = tuple(
             k for k, r in enumerate(self.roots) if r.i < r.j
-        )
-        self.negation: tuple[int, ...] = tuple(
-            self.index_of[(r.j, r.i)] for r in self.roots
         )
 
     def __len__(self) -> int:
@@ -137,38 +134,42 @@ def evaluate_root(rs: RootSystem, alpha: Root, X: CartanElement) -> Fraction:
 
 
 def _distinct_permutations(items: tuple) -> Iterable[tuple]:
-    # multiset permutations, emitted in lexicographic order of the output
-    pool = sorted(items)
-    n = len(pool)
-    out: list = []
+    """Multiset permutations of items, each once, in descending lexicographic order.
 
-    def rec(remaining: list):
-        if not remaining:
-            yield tuple(out)
+    Steps through the permutations of the values' ranks (0 for the largest) in
+    ascending order, the classic next-permutation walk, so only ints are compared.
+    """
+    values = sorted(set(items), reverse=True)
+    rank = {v: r for r, v in enumerate(values)}
+    a = sorted(rank[v] for v in items)
+    last = len(a) - 1
+    while True:
+        yield tuple(values[r] for r in a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        prev = object()
-        for k in range(len(remaining)):
-            if remaining[k] == prev:
-                continue
-            prev = remaining[k]
-            out.append(remaining[k])
-            yield from rec(remaining[:k] + remaining[k + 1 :])
-            out.pop()
-
-    if n == 0:
-        yield ()
-    else:
-        yield from rec(pool)
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def weyl_orbit(X: CartanElement) -> tuple[CartanElement, ...]:
     """All distinct coordinate permutations of X, deduplicated.
 
     Returned in descending lexicographic order, so the dominant representative
-    comes first; the order is deterministic.
+    comes first; the order is deterministic.  X is already checked, so each
+    permutation is stored as it is, without converting or re-summing it.
     """
-    perms = sorted(_distinct_permutations(X.coords), reverse=True)
-    return tuple(CartanElement(p) for p in perms)
+    orbit = []
+    for p in _distinct_permutations(X.coords):
+        Y = object.__new__(CartanElement)
+        object.__setattr__(Y, "coords", p)
+        orbit.append(Y)
+    return tuple(orbit)
 
 
 def dominant_representative(X: CartanElement) -> CartanElement:

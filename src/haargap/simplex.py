@@ -8,10 +8,18 @@ value in its last entry.  One pivot therefore updates constraints,
 right-hand sides and reduced costs together.  Every entry is a Fraction;
 pivoting follows Bland's rule (lowest eligible index, ties by lowest basic
 variable), which rules out cycling and makes the solved vertex deterministic.
+
+Phase 1 minimizes the sum of the artificials, each basic in its own row, so
+its cost row is minus each column's sum over the constraint rows (0 under the
+artificials), taken on integers over the column's common denominator.  Phase
+2 prices its objective out by subtracting cost times row for each basic
+variable with a nonzero cost.  The ratio test compares the ratios on
+integers by cross-multiplication.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,9 +36,18 @@ class SimplexResult:
     basis: tuple[int, ...] | None
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _fraction(v):
+    """v as a Fraction; Fraction(v) would build a new one even from a Fraction."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _pivot(T, basis, row, col):
-    inv = Fraction(1) / T[row][col]
-    prow = T[row] = [v * inv for v in T[row]]
+    inv = _ONE / T[row][col]
+    prow = T[row] = [v * inv if v else v for v in T[row]]
     for i, ti in enumerate(T):
         f = ti[col]
         if f and i != row:
@@ -39,27 +56,38 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_phase(T, basis, cost):
-    """Append the reduced-cost row of `cost` to T and pivot until optimal or unbounded.
+def _negated_sum(values):
+    """Minus the exact sum of Fractions, taken on integers over their lcm."""
+    d = math.lcm(*(v.denominator for v in values))
+    return Fraction(-sum(v.numerator * (d // v.denominator) for v in values), d)
+
+
+def _run_phase(T, basis, z):
+    """Append the reduced-cost row z to T and pivot until optimal or unbounded.
 
     The cost row stays last in T; the constraint rows are T[:len(basis)].
     """
-    z = cost + [Fraction(0)]
-    for ti, bi in zip(T, basis):
-        if cost[bi]:
-            z = [a - cost[bi] * b for a, b in zip(z, ti)]
     T.append(z)
     rows = range(len(basis))
+    width = len(z) - 1
     while True:
         z = T[-1]
-        col = next((j for j in range(len(cost)) if z[j] < 0), None)
+        col = next((j for j in range(width) if z[j] < 0), None)
         if col is None:
             return STATUS_OPTIMAL
-        # ratio test; ties go to the lowest basic variable
-        eligible = [i for i in rows if T[i][col] > 0]
-        if not eligible:
+        # ratio test on integers, b/a = (p/q)/(s/t) as p*t over q*s; ties go
+        # to the lowest basic variable
+        best = None
+        for i in rows:
+            a = T[i][col]
+            if a > 0:
+                b = T[i][-1]
+                num, den = b.numerator * a.denominator, b.denominator * a.numerator
+                if best is None or (num * best_den, basis[i]) < (best_num * den, basis[best]):
+                    best, best_num, best_den = i, num, den
+        if best is None:
             return STATUS_UNBOUNDED
-        _pivot(T, basis, min(eligible, key=lambda i: (T[i][-1] / T[i][col], basis[i])), col)
+        _pivot(T, basis, best, col)
 
 
 def solve_standard_form(A, b, c) -> SimplexResult:
@@ -71,19 +99,23 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    c = [Fraction(v) for v in c]
+    c = [_fraction(v) for v in c]
     if len(c) != n:
         raise ValueError(f"objective length {len(c)} does not match {n} columns")
+    if not m:
+        return SimplexResult(STATUS_OPTIMAL, (), _ZERO, ())
     T = []
     for i in range(m):
-        row = [Fraction(v) for v in A[i]] + [Fraction(b[i])]
+        row = [_fraction(v) for v in A[i]] + [_fraction(b[i])]
         if row[-1] < 0:
             row = [-v for v in row]
-        T.append(row[:n] + [Fraction(int(k == i)) for k in range(m)] + row[n:])
+        T.append(row[:n] + [_ONE if k == i else _ZERO for k in range(m)] + row[n:])
 
-    # phase 1: artificial basis, minimizing the sum of the artificials
+    # phase 1: artificial basis, minimizing the sum of the artificials; its
+    # cost row is minus the column sums, 0 under the artificials
     basis = list(range(n, n + m))
-    if _run_phase(T, basis, [Fraction(0)] * n + [Fraction(1)] * m) == STATUS_UNBOUNDED:
+    sums = [_negated_sum(col) for col in zip(*T)]
+    if _run_phase(T, basis, sums[:n] + [_ZERO] * m + sums[-1:]) == STATUS_UNBOUNDED:
         # cannot happen: phase-1 objective is bounded below by zero
         raise RuntimeError("phase-1 simplex reported unbounded")
     if T.pop()[-1] < 0:
@@ -101,10 +133,14 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     T = [T[i][:n] + T[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # phase 2
-    if _run_phase(T, basis, c) == STATUS_UNBOUNDED:
+    # phase 2: price the objective out over the basis
+    z = c + [_ZERO]
+    for ti, bi in zip(T, basis):
+        if c[bi]:
+            z = [a - c[bi] * b for a, b in zip(z, ti)]
+    if _run_phase(T, basis, z) == STATUS_UNBOUNDED:
         return SimplexResult(STATUS_UNBOUNDED, None, None, None)
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for ti, bi in zip(T, basis):
         x[bi] = ti[-1]
     return SimplexResult(STATUS_OPTIMAL, tuple(x), -T[-1][-1], tuple(basis))

@@ -277,6 +277,36 @@ def test_huge_decimal_exponents_are_refused_at_once(capsys):
     assert cli.parse_rational("-5e-4300") == Fraction(-5, 10**4300)
 
 
+def test_unprintable_values_are_refused_before_any_work(capsys, monkeypatch):
+    # 10**4300 has one digit more than the interpreter prints by default
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran on an input it could not print")
+
+    monkeypatch.setattr(cli, "solve_min_haar", no_work)
+    monkeypatch.setattr(cli, "build_type_a", no_work)
+    for argv in (["haar-lp", "--n", "3", "--beta", "1e-4300"],
+                 ["bound", "--n", "3", "--direction=1e4300,-1e4300,0"],
+                 ["haar-lp", "--n", "3", "--beta", "1/2", "--direction=2,-1,-1",
+                  "--direction=1e4300,-1e4300,0"]):
+        assert cli.main(argv) == 2
+        assert "could not be printed" in capsys.readouterr().err
+
+
+def test_printable_extremes_still_run(capsys):
+    code, payload = run_json(capsys, ["haar-lp", "--n", "3", "--beta", "1e-4299"])
+    assert code == 0
+    assert payload["inputs"]["beta"] == f"1/{10**4299}"
+    # a limit of 0 means no limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, payload = run_json(capsys, ["bound", "--n", "3", "--direction=1e4300,-1e4300,0"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert payload["results"]["haar"] == "4" + "0" * 4300
+
+
 def test_beta_out_of_range_is_invalid_input(capsys):
     code = cli.main(["haar-lp", "--n", "3", "--beta", "3/2"])
     assert code == 2

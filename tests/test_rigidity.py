@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from haargap.entropy import haar_entropy
+from haargap.entropy import entropy_lower_bound, haar_entropy
 from haargap.rigidity import (
     BOUND_HAAR_FRACTION,
     BOUND_MODES,
@@ -81,7 +81,7 @@ def assert_rows_are_entropy_caps(lattice: str, n: int, directions) -> None:
     problem = rigidity_problem(n, lattice, F(1, 2), test_directions=directions)
     model = build_lp(problem)
     assert model.directions == tuple(directions)
-    assert len(model.group_of) == sum(model.counts) == len(problem.supports)
+    assert len(model.group_of) == len(problem.supports)
     columns = [
         [component_entropy_cap(problem.rs, s, X) for X in model.directions]
         for s in problem.supports
@@ -95,7 +95,6 @@ def assert_rows_are_entropy_caps(lattice: str, n: int, directions) -> None:
     assert model.supports == tuple(problem.supports[j] for j in reps)
     assert model.group_of == tuple(rep_of)
     assert model.variables == tuple(s.label for s in model.supports)
-    assert model.counts == tuple(rep_of.count(g) for g in range(len(reps)))
 
 
 def test_build_lp_rows_match_entropy_caps():
@@ -123,8 +122,9 @@ def test_member_counts_cover_every_support(lattice, n):
             for k in range(1, n + 1)
             if n % k == 0
         )
-    assert sum(model.counts) == len(model.group_of) == expected
-    assert model.counts == tuple(model.group_of.count(g) for g in range(len(model.supports)))
+    assert len(model.group_of) == expected
+    # every group has a member
+    assert set(model.group_of) == set(range(len(model.supports)))
     # groups are numbered in order of their first member
     firsts = [model.group_of.index(g) for g in range(len(model.supports))]
     assert firsts == sorted(firsts)
@@ -151,6 +151,44 @@ def test_build_lp_rows_match_entropy_caps_with_many_bit_planes(lattice, n):
     denom = math.lcm(*(c.denominator for c in X.coords))
     assert max(abs(a - b) * denom for a in X.coords for b in X.coords) > 1 << 8
     assert_rows_are_entropy_caps(lattice, n, [X, X.negated(), cartan(n - 1, *([-1] * (n - 1)))])
+
+
+def assert_rhs_are_per_direction_bounds(n, beta, directions):
+    """build_lp's right-hand sides, in both bound modes, are each direction's own bound."""
+    rs = build_type_a(n)
+    haar = rigidity_problem(n, "generic", beta, test_directions=directions)
+    thm14 = rigidity_problem(n, "generic", beta, bound_mode=BOUND_THM14, test_directions=directions)
+    assert build_lp(haar).ge_rhs == tuple(beta * haar_entropy(rs, D) for D in directions)
+    assert build_lp(thm14).ge_rhs == tuple(entropy_lower_bound(rs, D) for D in directions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    beta=st.fractions(0, 1, max_denominator=12),
+    data=st.data(),
+)
+def test_build_lp_rhs_matches_per_direction_bounds(n, beta, data):
+    # permuted and rescaled copies share sorted scaled coordinates, or not,
+    # so both the shared and the separate right-hand sides are exercised
+    X, Y = data.draw(st.lists(rational_directions(n, 12), min_size=2, max_size=2))
+    directions = [X, Y]
+    for _ in range(data.draw(st.integers(1, 5))):
+        base = data.draw(st.sampled_from(directions))
+        perm = data.draw(st.permutations(range(n)))
+        scale = data.draw(st.sampled_from([F(1), F(2), F(1, 2), F(-3, 7)]))
+        directions.append(CartanElement(tuple(base.coords[i] for i in perm)).scaled(scale))
+    assert_rhs_are_per_direction_bounds(n, beta, directions)
+
+
+def test_build_lp_rhs_tells_orbits_apart():
+    # equal first coordinates, or equal sorted numerators over another
+    # denominator, do not make two directions one orbit
+    directions = [
+        cartan(2, -1, -1), cartan(2, -2, 0), cartan(-1, 2, -1), cartan(0, 2, -2),
+        cartan(1, F(-1, 2), F(-1, 2)), cartan(F(-1, 2), F(-1, 2), 1), cartan(-2, 1, 1),
+    ]
+    assert_rhs_are_per_direction_bounds(3, F(2, 3), directions)
 
 
 def test_build_lp_beta_zero_is_trivially_feasible():
@@ -248,7 +286,6 @@ def test_solve_lp_infeasible_status():
         objective=(F(1),),
         ge_rows=((F(6),),),
         ge_rhs=(F(10),),
-        counts=(1,),
         group_of=(0,),
     )
     solution = solve_lp(model)
@@ -308,7 +345,7 @@ def test_extremal_vertex_report_sl3_and_delta_only():
 
     infeasible = solve_lp(
         LPModel(
-            (delta.label,), (delta,), (cartan(2, -1, -1),), (F(1),), ((F(6),),), (F(10),), (1,), (0,)
+            (delta.label,), (delta,), (cartan(2, -1, -1),), (F(1),), ((F(6),),), (F(10),), (0,)
         )
     )
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from haargap import supports
 from haargap.roots import (
     ROOT_SYSTEM_MAX_N,
     CapacityError,
+    CartanElement,
     apply_permutation,
     build_type_a,
     cartan,
@@ -17,7 +19,14 @@ from haargap.roots import (
     is_regular,
     weyl_orbit,
 )
-from util import closure_of, permute_root, random_permutation, random_trace_zero, root_vector
+from util import (
+    closure_of,
+    negation,
+    permute_root,
+    random_permutation,
+    random_trace_zero,
+    root_vector,
+)
 
 
 @pytest.mark.parametrize("n,total,positive", [(2, 2, 1), (3, 6, 3), (4, 12, 6)])
@@ -38,7 +47,7 @@ def test_build_type_a_rejects_small_n():
 def test_roots_come_in_pairs_and_positivity_convention():
     rs = build_type_a(4)
     for k, r in enumerate(rs.roots):
-        neg = rs.roots[rs.negation[k]]
+        neg = rs.roots[negation(rs)[k]]
         assert (neg.i, neg.j) == (r.j, r.i)
         assert all(a == -b for a, b in zip(root_vector(rs, neg), root_vector(rs, r)))
     for k in rs.positive_indices:
@@ -61,11 +70,12 @@ def test_evaluate_root_examples():
 
 def test_evaluate_root_antisymmetry():
     rs = build_type_a(4)
+    neg = negation(rs)
     rng = random.Random(7)
     for _ in range(25):
         X = random_trace_zero(rng, 4)
         for k, r in enumerate(rs.roots):
-            assert evaluate_root(rs, r, X) == -evaluate_root(rs, rs.roots[rs.negation[k]], X)
+            assert evaluate_root(rs, r, X) == -evaluate_root(rs, rs.roots[neg[k]], X)
 
 
 def test_evaluate_root_dimension_mismatch():
@@ -96,6 +106,28 @@ def test_weyl_orbit_deterministic_and_deduplicated():
     assert weyl_orbit(X) == weyl_orbit(X)
     orbit = weyl_orbit(X)
     assert len(set(orbit)) == len(orbit) == 3
+
+
+def _orbit_oracle(X):
+    return tuple(CartanElement(p) for p in sorted(set(permutations(X.coords)), reverse=True))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_weyl_orbit_matches_permutation_oracle(n):
+    # few distinct values force repeated coordinates; the mean shift makes
+    # them rational and negative
+    rng = random.Random(n)
+    cases = [cartan(n - 1, *([-1] * (n - 1))), CartanElement((Fraction(0),) * n)]
+    for k in range(12):
+        pool = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(1 + k % 3)]
+        coords = [rng.choice(pool) for _ in range(n)]
+        mean = sum(coords, Fraction(0)) / n
+        cases.append(CartanElement(tuple(c - mean for c in coords)))
+    for X in cases:
+        orbit = weyl_orbit(X)
+        assert orbit == _orbit_oracle(X)
+        assert all(type(c) is Fraction for Y in orbit for c in Y.coords)
+        assert orbit[0] == dominant_representative(X)
 
 
 def test_dominant_representative():

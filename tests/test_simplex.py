@@ -13,9 +13,14 @@ from haargap.simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    SimplexResult,
     solve_standard_form,
 )
 from util import brute_force_standard_form, row_rank
+
+
+def test_empty_lp_is_the_empty_vertex():
+    assert solve_standard_form([], [], []) == SimplexResult(STATUS_OPTIMAL, (), F(0), ())
 
 
 def test_simple_bounded_lp():

@@ -50,6 +50,11 @@ def root_vector(rs: RootSystem, alpha: Root) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
+def negation(rs: RootSystem) -> tuple[int, ...]:
+    """For each root index k, the index of -rs.roots[k]."""
+    return tuple(rs.index_of[(r.j, r.i)] for r in rs.roots)
+
+
 def permute_root(rs: RootSystem, alpha: Root, perm: Sequence[int]) -> Root:
     """Weyl action on roots: alpha_ij -> alpha_{perm(i) perm(j)} (0-based perm)."""
     return rs.root(perm[alpha.i - 1] + 1, perm[alpha.j - 1] + 1)
@@ -84,7 +89,8 @@ def _check_mask(rs: RootSystem, mask: int) -> None:
 
 def is_symmetric_mask(rs: RootSystem, mask: int) -> bool:
     _check_mask(rs, mask)
-    return all(mask >> rs.negation[k] & 1 for k in support_indices(mask))
+    neg = negation(rs)
+    return all(mask >> neg[k] & 1 for k in support_indices(mask))
 
 
 def closure_of(rs: RootSystem, mask: int) -> int:
