@@ -98,8 +98,39 @@ def _printable_rational(text: str) -> Fraction:
 
 def parse_direction(text: str) -> CartanElement:
     coords = tuple(_printable_rational(p.strip()) for p in text.split(","))
+    _refuse_unprintable_sums(coords)
     # CartanElement rejects off-trace input, reporting the computed trace
     return CartanElement(coords)
+
+
+def _refuse_unprintable_sums(coords: tuple[Fraction, ...]) -> None:
+    """Refuse coordinates whose bounds could not be printed.
+
+    With x the coordinates scaled by their common denominator d, every bound a
+    command prints has a denominator dividing 2d and a numerator at most the
+    sum of |x_i - x_j| over the n(n-1)/2 pairs, so at most n(n-1) max|x_i|.
+    Each is checked against sys.get_int_max_str_digits() (0: no limit), and d
+    is built up one coordinate at a time, so the check stops as soon as it
+    fails.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    too_long = 10**limit  # the smallest integer with more than `limit` digits
+    d = 1
+    for c in coords:
+        d = math.lcm(d, c.denominator)
+        if 2 * d >= too_long:
+            raise ValueError(
+                f"cannot use the direction: twice the common denominator of its "
+                f"coordinates has more than {limit} digits and could not be printed"
+            )
+    n = len(coords)
+    if n * (n - 1) * max(abs(c.numerator) * (d // c.denominator) for c in coords) >= too_long:
+        raise ValueError(
+            f"cannot use the direction: a sum of |x_i - x_j| over its pairs, with x "
+            f"scaled to integers, may have more than {limit} digits and could not be printed"
+        )
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -242,7 +273,8 @@ def _cmd_supports(args) -> int:
     if args.lattice == "generic":
         sets = enumerate_symmetric_closed(build_type_a(args.n))
     else:
-        sets = enumerate_block_partitions(args.n)
+        # printed in full below, so walked once here rather than once per use
+        sets = list(enumerate_block_partitions(args.n))
     by_kind = dict(Counter(s.kind for s in sets))
     inputs = {"n": args.n, "lattice": args.lattice}
     results = {

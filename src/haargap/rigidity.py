@@ -16,6 +16,7 @@ arithmetic; no floating point enters this module.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,16 +42,20 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class RigidityProblem:
-    """An instance of the entropy game: supports, test directions, bound choice."""
+    """An instance of the entropy game: supports, test directions, bound choice.
+
+    supports may be any re-iterable collection of Partitions, such as a tuple
+    or the lazy walk of enumerate_block_partitions; build_lp reads it in one
+    pass and keeps only each group's first member.
+    """
 
     rs: RootSystem
-    supports: tuple[Partition, ...]
+    supports: Iterable[Partition]
     test_directions: tuple[CartanElement, ...]
     beta: Fraction
     bound_mode: str = BOUND_HAAR_FRACTION
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "supports", tuple(self.supports))
         object.__setattr__(self, "test_directions", tuple(self.test_directions))
         object.__setattr__(self, "beta", Fraction(self.beta))
 
@@ -104,20 +109,13 @@ def build_lp(problem: RigidityProblem) -> LPModel:
     ±α_ij together and one of them is positive on X, so its cap at X is the
     sum of |X_i - X_j| over the pairs i < j inside its blocks.  These integer
     sums (X scaled once) make one key per support with a lane per direction;
-    supports with equal keys form one group, whose column is built once.
-    Both bounds are invariant under permuting X's coordinates, so each is
-    computed once per distinct (sorted scaled coordinates, denominator).
+    supports with equal keys form one group, whose column is built once.  The
+    supports are read in one pass that keeps only each group's first member
+    and the group of each support.  Both bounds are invariant under permuting
+    X's coordinates, so each is computed once per distinct (sorted scaled
+    coordinates, denominator).
     """
     rs = problem.rs
-    supports = problem.supports
-    if not all(isinstance(s, Partition) for s in supports):
-        raise ValueError("every support must be a Partition: caps are read from blocks")
-    full = Partition((tuple(range(1, rs.n + 1)),))
-    n_full = supports.count(full)
-    if n_full == 0:
-        raise ValueError("Δ missing from supports: the full support must be present")
-    if n_full > 1:
-        raise ValueError("Δ present more than once in supports")
     if not problem.test_directions:
         raise ValueError("empty test set: at least one test direction is required")
     if problem.bound_mode not in BOUND_MODES:
@@ -139,23 +137,35 @@ def build_lp(problem: RigidityProblem) -> LPModel:
         (i + 1, j + 1): sum(abs(x[i] - x[j]) << d * width for d, x in enumerate(scaled))
         for i, j in pairs
     }
-    block_weight = {
-        block: sum(pair_weight[p] for p in itertools.combinations(block, 2))
-        for block in set().union(*supports)
-    }
-    keys = [sum(map(block_weight.__getitem__, s)) for s in supports]
-    # every nonzero direction puts some pair of distinct values in different
-    # blocks of any partition but Δ, so Δ's key is its own and the objective
-    # needs no lane
-    first: dict[int, Partition] = {}
-    for s, key in zip(supports, keys):
-        first.setdefault(key, s)
-    group = {key: g for g, key in enumerate(first)}
-    reps = tuple(first.values())
+    block_weight: dict[tuple, int] = {}
+    full = Partition((tuple(range(1, rs.n + 1)),))
+    n_full = 0
+    group: dict[int, int] = {}  # key -> group, numbered in order of first member
+    reps: list[Partition] = []
+    group_of: list[int] = []
+    for s in problem.supports:
+        if not isinstance(s, Partition):
+            raise ValueError("every support must be a Partition: caps are read from blocks")
+        n_full += s == full
+        key = 0
+        for block in s:
+            if block not in block_weight:
+                block_weight[block] = sum(
+                    map(pair_weight.__getitem__, itertools.combinations(block, 2))
+                )
+            key += block_weight[block]
+        g = group.setdefault(key, len(reps))
+        if g == len(reps):
+            reps.append(s)
+        group_of.append(g)
+    if n_full == 0:
+        raise ValueError("Δ missing from supports: the full support must be present")
+    if n_full > 1:
+        raise ValueError("Δ present more than once in supports")
 
     lane = (1 << width) - 1
     rows = tuple(
-        tuple(Fraction(key >> d * width & lane, denom) for key in first)
+        tuple(Fraction(key >> d * width & lane, denom) for key in group)
         for d, denom in enumerate(denoms)
     )
     orbit_bound: dict[tuple, Fraction] = {}
@@ -168,10 +178,14 @@ def build_lp(problem: RigidityProblem) -> LPModel:
             else:
                 orbit_bound[key] = entropy_lower_bound(rs, X)
         rhs.append(orbit_bound[key])
+    # every nonzero direction puts some pair of distinct values in different
+    # blocks of any partition but Δ, so Δ's key is its own and the objective
+    # needs no lane
     objective = tuple(Fraction(1) if s == full else _ZERO for s in reps)
-    group_of = tuple(map(group.__getitem__, keys))
     labels = tuple(s.label for s in reps)
-    return LPModel(labels, reps, problem.test_directions, objective, rows, tuple(rhs), group_of)
+    return LPModel(
+        labels, tuple(reps), problem.test_directions, objective, rows, tuple(rhs), tuple(group_of)
+    )
 
 
 def solve_lp(model: LPModel) -> LPSolution:
@@ -250,7 +264,7 @@ def rigidity_problem(
         rs = build_type_a(n)
         supports = tuple(enumerate_symmetric_closed(rs))
     elif lattice == LATTICE_INNER:
-        supports = tuple(enumerate_block_partitions(n))
+        supports = enumerate_block_partitions(n)
         rs = build_type_a(n)
     else:
         raise ValueError(f"unknown lattice class {lattice!r}; expected 'generic' or 'inner'")

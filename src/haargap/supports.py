@@ -5,12 +5,17 @@ under root addition.  In type A such a set is exactly an equivalence relation
 on {1..n}: ±α_ij ∈ R means i ~ j, and closure under α_ik + α_kj = α_ij is
 transitivity.  So every support is the set of within-block roots of a set
 partition of {1..n}, and both enumerations walk set partitions: all of them
-for the generic lattice, those with equal-size blocks for inner forms.
+for the generic lattice, those with equal-size blocks for inner forms.  The
+generic supports (at most Bell(6) = 203) come as a sorted list; the inner ones
+(32 034 at n = 12) as a lazy walk that is taken afresh on each iteration, so a
+reader that makes one pass never holds them all.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 from .roots import CapacityError, RootSystem
 
@@ -59,8 +64,8 @@ class Partition(tuple):
         return "∅" if kind == KIND_EMPTY else "Δ"
 
 
-def _partitions(rest: tuple, sizes, prefix: tuple, out: list) -> None:
-    """Append to out prefix + each partition of rest into blocks of the given sizes.
+def _partitions(rest: tuple, sizes, prefix: tuple):
+    """Yield prefix + each partition of rest into blocks of the given sizes.
 
     The smallest unused element opens each block and `itertools.combinations`
     picks its partners, so with one size the partitions come out in
@@ -69,11 +74,11 @@ def _partitions(rest: tuple, sizes, prefix: tuple, out: list) -> None:
     first, others = rest[0], rest[1:]
     for size in sizes:
         if size == len(rest):
-            out.append(Partition((*prefix, rest)))
+            yield Partition((*prefix, rest))
             continue
         for partners in itertools.combinations(others, size - 1):
             left = tuple(itertools.filterfalse(partners.__contains__, others))
-            _partitions(left, sizes, (*prefix, (first, *partners)), out)
+            yield from _partitions(left, sizes, (*prefix, (first, *partners)))
 
 
 def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
@@ -88,13 +93,32 @@ def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
             f"root system has {npos} positive roots; generic enumeration is "
             f"limited to {GENERIC_POSITIVE_ROOT_LIMIT}"
         )
-    found: list[Partition] = []
-    _partitions(tuple(range(1, rs.n + 1)), range(1, rs.n + 1), (), found)
+    found = list(_partitions(tuple(range(1, rs.n + 1)), range(1, rs.n + 1), ()))
     found.sort(key=lambda p: (p.mask.bit_count(), p.mask))
     return found
 
 
-def enumerate_block_partitions(n: int) -> list[Partition]:
+@dataclass(frozen=True)
+class BlockPartitions:
+    """The equal-size block partitions of {1..n}, walked afresh on each iteration.
+
+    Its length is the closed form: the sum over k | n of n!/((k!)^(n/k) (n/k)!).
+    """
+
+    n: int
+
+    def __iter__(self):
+        elements = tuple(range(1, self.n + 1))
+        for k in range(1, self.n + 1):
+            if self.n % k == 0:
+                yield from _partitions(elements, (k,), ())
+
+    def __len__(self) -> int:
+        n, f = self.n, math.factorial
+        return sum(f(n) // (f(k) ** (n // k) * f(n // k)) for k in range(1, n + 1) if n % k == 0)
+
+
+def enumerate_block_partitions(n: int) -> BlockPartitions:
     """Supports of equal-size block partitions of {1..n}, for every divisor k of n.
 
     k = 1 yields ∅ and k = n yields Δ.  Within each k the partitions come out
@@ -106,8 +130,4 @@ def enumerate_block_partitions(n: int) -> list[Partition]:
         raise CapacityError(
             f"n={n} exceeds the block-partition enumeration limit of {BLOCK_PARTITION_LIMIT}"
         )
-    out: list[Partition] = []
-    for k in range(1, n + 1):
-        if n % k == 0:
-            _partitions(tuple(range(1, n + 1)), (k,), (), out)
-    return out
+    return BlockPartitions(n)

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exact JSON payloads, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,9 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import haargap
 from haargap import cli
@@ -290,6 +295,19 @@ def test_unprintable_values_are_refused_before_any_work(capsys, monkeypatch):
                   "--direction=1e4300,-1e4300,0"]):
         assert cli.main(argv) == 2
         assert "could not be printed" in capsys.readouterr().err
+    # each coordinate prints, but not the common denominator (6904 digits), a
+    # sum of scaled differences (N*M, 6904 digits), the Haar entropy
+    # 36e4299 or the proved floor 7/(2D) with D = 9e4299
+    N, M, D = 2**9000, 5**6000, 9 * 10**4299
+    for n, direction in ((4, f"--direction=1/{N},-1/{N},1/{M},-1/{M}"),
+                         (4, f"--direction={N},-{N},1/{M},-1/{M}"),
+                         (3, "--direction=9e4299,-9e4299,0"),
+                         (4, f"--direction=2/{D},0,-1/{D},-1/{D}")):
+        for argv in (["bound", "--n", str(n), direction],
+                     ["haar-lp", "--n", str(n), "--beta", "1/2", direction]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert "could not be printed" in err and "Exceeds the limit" not in err
 
 
 def test_printable_extremes_still_run(capsys):
@@ -305,6 +323,20 @@ def test_printable_extremes_still_run(capsys):
         sys.set_int_max_str_digits(limit)
     assert code == 0
     assert payload["results"]["haar"] == "4" + "0" * 4300
+    # just inside the limit: twice the common denominator (8e4299) and n(n - 1)
+    # times the largest scaled coordinate (6e4299) have 4300 digits each
+    A, B = 4 * 10**4299, 10**4299
+    code, payload = run_json(capsys, ["bound", "--n", "4", f"--direction=1/{A},-1/{A},0,0"])
+    assert code == 0
+    assert payload["results"]["optim"] == f"3/{A}"
+    code, payload = run_json(capsys, ["haar-lp", "--n", "4", "--beta", "1/2",
+                                      f"--direction=1/{A},-1/{A},0,0"])
+    assert code == 0
+    assert payload["results"]["constraints"][0]["rhs"] == f"3/{A}"
+    for argv in (["bound", "--n", "3", f"--direction={B},-{B},0"],
+                 ["haar-lp", "--n", "3", "--beta", "1/2", f"--direction={B},-{B},0"]):
+        code, payload = run_json(capsys, argv)
+        assert code == 0
 
 
 def test_beta_out_of_range_is_invalid_input(capsys):
@@ -415,3 +447,45 @@ def test_parser_keeps_no_state_between_calls(capsys):
                                capture_output=True, text=True, timeout=60)
         assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
     assert json.loads(captured.out)["inputs"]["direction"] == ["-1,-1,2"]
+
+
+# Short arguments chosen to be hard on the parser and the bounds: decimal
+# exponents at and past the limits, denominators whose lcm outgrows them,
+# tokens that are not numbers.  A direction is tokens paired with their
+# negations and padded with zeros, so one made of numbers has trace zero.
+FUZZ_TOKENS = ["0", "1", "-1/3", "2.5", "1e4299", "9e4299", "1e-4299", "7e-4299", "1/7",
+               "1e4300", "1e999999999", "1e-999999999", "nan", "inf", "1/0", "x", ""]
+FUZZ_N = [-1, 0, 1, 2, 3, 4, 6, 7, 12, 13, 64, 65, 10**30]
+FUZZ_BUDGET_S = 5
+
+
+def _negated(token: str) -> str:
+    return token[1:] if token.startswith("-") else "-" + token
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["bound", "spectrum", "roots", "supports"]))
+    n = draw(st.sampled_from(FUZZ_N))
+    argv = [command, "--n", str(n), "--format", draw(st.sampled_from(["json", "table"]))]
+    if command == "supports":
+        return argv + ["--lattice", draw(st.sampled_from(["generic", "inner"]))]
+    for _ in range(draw(st.integers(0 if command == "roots" else 1, 4))):
+        picks = draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4))
+        coords = [c for t in picks for c in (t, _negated(t))]
+        coords += ["0"] * max(0, min(n, 70) - len(coords))
+        argv.append("--direction=" + ",".join(draw(st.permutations(coords))))
+    if command != "roots" and draw(st.booleans()):
+        argv += ["--K", draw(st.sampled_from(FUZZ_TOKENS))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=fuzz_argv())
+def test_short_adversarial_argv_exits_cleanly_within_budget(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    assert time.perf_counter() - start < FUZZ_BUDGET_S

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -81,18 +82,19 @@ def assert_rows_are_entropy_caps(lattice: str, n: int, directions) -> None:
     problem = rigidity_problem(n, lattice, F(1, 2), test_directions=directions)
     model = build_lp(problem)
     assert model.directions == tuple(directions)
-    assert len(model.group_of) == len(problem.supports)
+    supports = tuple(problem.supports)
+    assert len(model.group_of) == len(supports)
     columns = [
         [component_entropy_cap(problem.rs, s, X) for X in model.directions]
-        for s in problem.supports
+        for s in supports
     ]
-    objective = [F(s.kind == "full") for s in problem.supports]
+    objective = [F(s.kind == "full") for s in supports]
     for m, g in enumerate(model.group_of):
         assert [row[g] for row in model.ge_rows] == columns[m]
         assert model.objective[g] == objective[m]
     assert all(type(v) is F for row in model.ge_rows for v in row)
     reps, rep_of = fraction_keyed_groups(objective, columns)
-    assert model.supports == tuple(problem.supports[j] for j in reps)
+    assert model.supports == tuple(supports[j] for j in reps)
     assert model.group_of == tuple(rep_of)
     assert model.variables == tuple(s.label for s in model.supports)
 
@@ -151,6 +153,37 @@ def test_build_lp_rows_match_entropy_caps_with_many_bit_planes(lattice, n):
     denom = math.lcm(*(c.denominator for c in X.coords))
     assert max(abs(a - b) * denom for a in X.coords for b in X.coords) > 1 << 8
     assert_rows_are_entropy_caps(lattice, n, [X, X.negated(), cartan(n - 1, *([-1] * (n - 1)))])
+
+
+def assert_lazy_walk_reads_as_its_tuple(problem) -> None:
+    as_tuple = dataclasses.replace(problem, supports=tuple(problem.supports))
+    assert build_lp(problem) == build_lp(as_tuple)
+
+
+@pytest.mark.parametrize("bound_mode", BOUND_MODES)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_build_lp_reads_the_lazy_walk_as_its_tuple(n, bound_mode):
+    assert_lazy_walk_reads_as_its_tuple(rigidity_problem(n, "inner", F(1, 2), bound_mode=bound_mode))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([4, 6, 8]), data=st.data())
+def test_build_lp_reads_the_lazy_walk_as_its_tuple_on_random_directions(n, data):
+    directions = data.draw(st.lists(rational_directions(n, 3000), min_size=1, max_size=3))
+    assert_lazy_walk_reads_as_its_tuple(
+        rigidity_problem(n, "inner", F(1, 2), test_directions=directions)
+    )
+
+
+def test_inner_n12_build_lp_never_holds_every_support():
+    # 32 034 Partitions held at once, as a tuple, peak at about 9 MB
+    tracemalloc.start()
+    try:
+        build_lp(rigidity_problem(12, "inner", F(1, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 def assert_rhs_are_per_direction_bounds(n, beta, directions):

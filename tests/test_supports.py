@@ -115,7 +115,7 @@ def test_capacity_error_names_limit():
 
 def test_block_partitions_small_n():
     assert [s.label for s in enumerate_block_partitions(3)] == ["∅", "Δ"]
-    got4 = enumerate_block_partitions(4)
+    got4 = tuple(enumerate_block_partitions(4))
     assert len(got4) == 5
     assert [s.kind for s in got4] == ["empty"] + ["block-partition"] * 3 + ["full"]
     labels = [s.label for s in got4[1:4]]
@@ -151,6 +151,13 @@ def test_block_partition_counts_match_formula(n):
             block_lists.setdefault(len(blocks[0]), []).append(blocks)
     for seq in block_lists.values():
         assert seq == sorted(seq)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_block_partitions_len_is_the_walk_length_and_each_walk_repeats(n):
+    walk = enumerate_block_partitions(n)
+    assert len(walk) == sum(1 for _ in walk)
+    assert list(walk) == list(walk)
 
 
 def test_block_partitions_input_validation():
