@@ -28,8 +28,9 @@ from .entropy import (
     lyapunov_spectrum,
 )
 from .rigidity import (
-    BOUND_HAAR_FRACTION,
-    BOUND_THM14,
+    BOUND_MODES,
+    LATTICE_GENERIC,
+    LATTICE_INNER,
     extremal_vertex_report,
     inner_weight_formula,
     min_haar_weight,
@@ -133,23 +134,24 @@ def _refuse_unprintable_sums(coords: tuple[Fraction, ...]) -> None:
         )
 
 
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return _printable_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _direction_arg(text: str) -> CartanElement:
-    try:
-        return parse_direction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _argument(parse):
+    """An argparse type that reports parse's ValueError as a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _frac(x: Fraction) -> str:
-    # every exact value reaching here is already a Fraction: "p/q", or "p" when q = 1
-    return str(x)
+    """x as "p/q", or "p" when q = 1; every exact value the CLI prints passes here."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ValueError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits and could not be printed"
+        ) from None
 
 
 def _emit(args, command: str, inputs: dict, results: dict, table: str) -> None:
@@ -163,7 +165,7 @@ def _emit(args, command: str, inputs: dict, results: dict, table: str) -> None:
         text = json.dumps(payload, indent=2, ensure_ascii=False)
     else:
         text = table
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -270,7 +272,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_supports(args) -> int:
-    if args.lattice == "generic":
+    if args.lattice == LATTICE_GENERIC:
         sets = enumerate_symmetric_closed(build_type_a(args.n))
     else:
         # printed in full below, so walked once here rather than once per use
@@ -294,9 +296,8 @@ def _cmd_supports(args) -> int:
 
 def _cmd_haar_lp(args) -> int:
     directions = args.direction if args.direction else None
-    mode = BOUND_THM14 if args.bound_mode == "thm14" else BOUND_HAAR_FRACTION
     _, model, solution = solve_min_haar(
-        args.n, args.lattice, args.beta, bound_mode=mode, test_directions=directions
+        args.n, args.lattice, args.beta, bound_mode=args.bound_mode, test_directions=directions
     )
     inputs = {
         "n": args.n,
@@ -348,15 +349,13 @@ def _cmd_validate(args) -> int:
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     summary = run_validation_suite(seed)
-    inputs = {"seed": seed}
-    results = summary
     lines = [f"Numerical validation suite (seed {seed})"]
     for check in summary["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         extra = f"  slope={check['slope']:.3f}" if "slope" in check else ""
         lines.append(f"  [{mark}] {check['name']}{extra}")
     lines.append("all passed" if summary["all_passed"] else "FAILURES present")
-    _emit(args, "validate", inputs, results, "\n".join(lines))
+    _emit(args, "validate", {"seed": seed}, summary, "\n".join(lines))
     return EXIT_OK if summary["all_passed"] else EXIT_VALIDATION
 
 
@@ -365,12 +364,12 @@ def _cmd_report(args) -> int:
     half = Fraction(1, 2)
     generic_expected = {3: Fraction(1, 4), 4: Fraction(0)}
     for n in (3, 4):
-        computed = min_haar_weight(n, "generic", half)
+        computed = min_haar_weight(n, LATTICE_GENERIC, half)
         expected = generic_expected[n]
-        rows.append(("generic", n, computed, expected))
+        rows.append((LATTICE_GENERIC, n, computed, expected))
     for n in range(3, 13):
-        computed = min_haar_weight(n, "inner", half)
-        rows.append(("inner", n, computed, inner_weight_formula(n)))
+        computed = min_haar_weight(n, LATTICE_INNER, half)
+        rows.append((LATTICE_INNER, n, computed, inner_weight_formula(n)))
     all_equal = all(c == e for _, _, c, e in rows)
     inputs = {"beta": _frac(half)}
     results = {
@@ -396,7 +395,9 @@ def _cmd_report(args) -> int:
     return EXIT_OK if all_equal else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="haargap",
         description="Exact entropy bounds, support enumeration and Haar-weight "
@@ -411,36 +412,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="root data and Weyl orbit of a direction")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--direction", type=_direction_arg, default=None)
+    p.add_argument("--direction", type=_argument(parse_direction), default=None)
     common(p)
     p.set_defaults(handler=_cmd_roots)
 
     p = sub.add_parser("spectrum", help="Lyapunov spectrum and fast/slow split")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--direction", type=_direction_arg, required=True)
-    p.add_argument("--K", type=_rational_arg, default=None)
+    p.add_argument("--direction", type=_argument(parse_direction), required=True)
+    p.add_argument("--K", type=_argument(_printable_rational), default=None)
     common(p)
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("bound", help="entropy bounds and dispersive exponent")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--direction", type=_direction_arg, required=True)
-    p.add_argument("--K", type=_rational_arg, default=None)
+    p.add_argument("--direction", type=_argument(parse_direction), required=True)
+    p.add_argument("--K", type=_argument(_printable_rational), default=None)
     common(p)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("supports", help="enumerate admissible supports")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lattice", choices=("generic", "inner"), default="generic")
+    p.add_argument("--lattice", choices=(LATTICE_GENERIC, LATTICE_INNER), default=LATTICE_GENERIC)
     common(p)
     p.set_defaults(handler=_cmd_supports)
 
     p = sub.add_parser("haar-lp", help="solve the Haar-weight linear program")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lattice", choices=("generic", "inner"), default="generic")
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--bound-mode", choices=("haar-fraction", "thm14"), default="haar-fraction")
-    p.add_argument("--direction", type=_direction_arg, action="append", default=None,
+    p.add_argument("--lattice", choices=(LATTICE_GENERIC, LATTICE_INNER), default=LATTICE_GENERIC)
+    p.add_argument("--beta", type=_argument(_printable_rational), required=True)
+    p.add_argument("--bound-mode", choices=BOUND_MODES, default=BOUND_MODES[0])
+    p.add_argument("--direction", type=_argument(parse_direction), action="append", default=None,
                    help="override the Weyl-orbit test directions (repeatable; "
                         "use --direction=-1,2,-1 for leading minus signs)")
     common(p)
@@ -459,15 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first main() call and reused by later ones."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -184,13 +184,12 @@ class OscillatoryProblem:
         cls,
         phase_fn,
         amplitude_fn,
-        interval=(-1.0, 1.0),
         hbar_values=None,
         num_points: int = 2**17 + 1,
     ) -> "OscillatoryProblem":
         if hbar_values is None:
             hbar_values = tuple(np.logspace(-1, -3, 9))
-        grid = np.linspace(interval[0], interval[1], num_points)
+        grid = np.linspace(-1.0, 1.0, num_points)
         return cls(grid, phase_fn(grid), amplitude_fn(grid), tuple(hbar_values))
 
 

@@ -120,9 +120,7 @@ def conjectured_entropy_bound(rs: RootSystem, X: CartanElement) -> Fraction:
 
 def fast_slow_split(rs: RootSystem, X: CartanElement, K) -> FastSlowSplit:
     """Split the spectrum at 1/(2K): strictly smaller exponents are slow."""
-    K = Fraction(K)
-    if K <= 0:
-        raise ValueError(f"horizon constant K must be positive, got {K}")
+    K = DispersiveQuery(K, X).K  # checked before the spectrum is built
     return _split(lyapunov_spectrum(rs, X), K)
 
 

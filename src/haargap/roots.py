@@ -22,10 +22,6 @@ class CapacityError(Exception):
     """Raised when a requested size exceeds its configured limit."""
 
 
-def _as_fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class Root:
     """The functional X -> X_i - X_j, stored as its index pair (i, j), 1-based, i != j."""
@@ -41,7 +37,7 @@ class CartanElement:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coords = _as_fraction_tuple(self.coords)
+        coords = tuple(Fraction(v) for v in self.coords)
         object.__setattr__(self, "coords", coords)
         trace = sum(coords, Fraction(0))
         if trace != 0:
@@ -66,7 +62,7 @@ class CartanElement:
 
 def cartan(*coords) -> CartanElement:
     """Convenience constructor: cartan(2, -1, -1)."""
-    return CartanElement(_as_fraction_tuple(coords))
+    return CartanElement(coords)
 
 
 class RootSystem:

@@ -339,6 +339,18 @@ def test_printable_extremes_still_run(capsys):
         assert code == 0
 
 
+def test_unprintable_results_are_refused_with_the_cli_message(capsys):
+    # each argument prints, but a result does not: the threshold 1/(2K) and
+    # K times each exponent, or beta*h(X) with a 4300-digit denominator
+    X, beta = 3**9000, "0." + "9" * 4299
+    for argv in (["bound", "--n", "3", "--direction", "2,-1,-1", "--K", "9e4299"],
+                 ["spectrum", "--n", "3", "--direction", "2,-1,-1", "--K", "9e4299"],
+                 ["haar-lp", "--n", "3", "--beta", beta, f"--direction={X},-{X},0"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "could not be printed" in err and "Exceeds the limit" not in err
+
+
 def test_beta_out_of_range_is_invalid_input(capsys):
     code = cli.main(["haar-lp", "--n", "3", "--beta", "3/2"])
     assert code == 2
@@ -489,3 +501,4 @@ def test_short_adversarial_argv_exits_cleanly_within_budget(argv):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4)
     assert time.perf_counter() - start < FUZZ_BUDGET_S
+    assert "Exceeds the limit" not in err.getvalue()
