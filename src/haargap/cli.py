@@ -31,10 +31,12 @@ from .rigidity import (
     BOUND_MODES,
     LATTICE_GENERIC,
     LATTICE_INNER,
+    build_lp,
     extremal_vertex_report,
     inner_weight_formula,
     min_haar_weight,
-    solve_min_haar,
+    rigidity_problem,
+    solve_lp,
 )
 from .roots import (
     CartanElement,
@@ -296,9 +298,9 @@ def _cmd_supports(args) -> int:
 
 def _cmd_haar_lp(args) -> int:
     directions = args.direction if args.direction else None
-    _, model, solution = solve_min_haar(
+    model = build_lp(rigidity_problem(
         args.n, args.lattice, args.beta, bound_mode=args.bound_mode, test_directions=directions
-    )
+    ))
     inputs = {
         "n": args.n,
         "lattice": args.lattice,
@@ -317,6 +319,9 @@ def _cmd_haar_lp(args) -> int:
         if num_variables <= 64:
             entry["coefficients"] = [_frac(row[g]) for g in model.group_of]
         constraints.append(entry)
+    # every right-hand side has been printed above, so an unprintable one is
+    # refused before the simplex runs
+    solution = solve_lp(model)
     results = {
         "status": solution.status,
         "num_variables": num_variables,

@@ -202,10 +202,11 @@ def test_exact_commands_never_import_numpy():
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        status = cli.main(argv)\n"
-        "    print(argv[0], status, 'numpy' in sys.modules)\n"
+        "    print(argv[0], status, 'numpy' in sys.modules,\n"
+        "          'concurrent.futures' in sys.modules)\n"
     )
     loaded = [line.split() for line in run_fresh_python(code)]
-    expected = [[argv[0], "0", str(argv[0] == "validate")] for argv in runs]
+    expected = [[argv[0], "0", *[str(argv[0] == "validate")] * 2] for argv in runs]
     assert loaded == expected
 
 
@@ -287,7 +288,7 @@ def test_unprintable_values_are_refused_before_any_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran on an input it could not print")
 
-    monkeypatch.setattr(cli, "solve_min_haar", no_work)
+    monkeypatch.setattr(cli, "rigidity_problem", no_work)
     monkeypatch.setattr(cli, "build_type_a", no_work)
     for argv in (["haar-lp", "--n", "3", "--beta", "1e-4300"],
                  ["bound", "--n", "3", "--direction=1e4300,-1e4300,0"],
@@ -339,9 +340,14 @@ def test_printable_extremes_still_run(capsys):
         assert code == 0
 
 
-def test_unprintable_results_are_refused_with_the_cli_message(capsys):
+def test_unprintable_results_are_refused_with_the_cli_message(capsys, monkeypatch):
     # each argument prints, but a result does not: the threshold 1/(2K) and
-    # K times each exponent, or beta*h(X) with a 4300-digit denominator
+    # K times each exponent, or beta*h(X) with a 4300-digit denominator, which
+    # haar-lp prints before its simplex runs
+    def no_simplex(model):
+        raise AssertionError("the simplex ran on an LP whose right-hand side could not be printed")
+
+    monkeypatch.setattr(cli, "solve_lp", no_simplex)
     X, beta = 3**9000, "0." + "9" * 4299
     for argv in (["bound", "--n", "3", "--direction", "2,-1,-1", "--K", "9e4299"],
                  ["spectrum", "--n", "3", "--direction", "2,-1,-1", "--K", "9e4299"],
@@ -349,6 +355,14 @@ def test_unprintable_results_are_refused_with_the_cli_message(capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "could not be printed" in err and "Exceeds the limit" not in err
+
+
+def test_validate_negative_seed_is_invalid_input(capsys):
+    # -1 is refused by the corpus generator, -2 by the single member's (seed + 1):
+    # both run on the worker thread, whose exception reaches the CLI
+    for seed in ("-1", "-2"):
+        assert cli.main(["validate", "--seed", seed]) == 2
+        assert capsys.readouterr().err == "invalid input: expected non-negative integer\n"
 
 
 def test_beta_out_of_range_is_invalid_input(capsys):

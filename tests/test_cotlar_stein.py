@@ -1,10 +1,12 @@
 """Numerical checks: operator norms, the almost-orthogonality bound, decay slopes."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from haargap import cotlar_stein
 from haargap.cotlar_stein import (
     TOLERANCES,
     MatrixFamily,
@@ -17,6 +19,7 @@ from haargap.cotlar_stein import (
     seeded_family_corpus,
     smooth_bump,
 )
+from util import sequential_validation_suite
 
 
 def test_operator_norm_identity_and_diagonal():
@@ -221,6 +224,27 @@ def test_validation_suite_passes_and_is_seeded():
     assert summary["seed"] == 0
     again = run_validation_suite(seed=0)
     assert summary["checks"] == again["checks"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 2])
+def test_validation_suite_equals_its_checks_run_in_sequence(seed):
+    # the Cotlar-Stein half runs on a worker thread; every float must still be
+    # the one the same public calls give one after another on this thread
+    threads = threading.active_count()
+    summary = run_validation_suite(seed)
+    assert threading.active_count() == threads
+    assert summary == sequential_validation_suite(seed)
+
+
+def test_validation_suite_worker_exception_propagates_and_joins(monkeypatch):
+    def fail(family):
+        raise RuntimeError("worker failed")
+
+    monkeypatch.setattr(cotlar_stein, "cotlar_bound_check", fail)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_validation_suite(0)
+    assert threading.active_count() == threads
 
 
 def _gram_norm(M):

@@ -6,7 +6,9 @@ representation the program does not use: it reads supports only as Partition
 blocks.  The LP oracles are deliberately independent of the production
 simplex: they enumerate every choice of active constraints (or of basic
 columns), solve the square system by rational Gaussian elimination, filter
-for feasibility and take the best objective value.
+for feasibility and take the best objective value.  The validation-suite
+oracle runs the float layer's public checks one after another on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -318,3 +320,43 @@ def brute_force_standard_form(A, b, c):
         if best is None or value < best:
             best = value
     return ("infeasible", None) if best is None else ("optimal", best)
+
+
+def sequential_validation_suite(seed: int) -> dict:
+    """run_validation_suite(seed) composed of the same public checks, one
+    after another on the calling thread; numpy is imported only here."""
+    from haargap.cotlar_stein import (
+        TOLERANCES,
+        MatrixFamily,
+        OscillatoryProblem,
+        cotlar_bound_check,
+        orthogonal_projector_family,
+        oscillatory_decay,
+        seeded_family_corpus,
+        smooth_bump,
+    )
+
+    tol = TOLERANCES
+    single = cotlar_bound_check(MatrixFamily.random_gaussian(1, 8, 8, seed + 1))
+    proj = cotlar_bound_check(orthogonal_projector_family(4, 2))
+    corpus = [cotlar_bound_check(f) for f in seeded_family_corpus(seed)]
+    decays = [
+        oscillatory_decay(OscillatoryProblem.from_functions(phase, smooth_bump)).fitted_slope
+        for phase in (lambda x: x, lambda x: x**2 / 2.0)
+    ]
+    lo, hi = tol.stationary_slope - tol.stationary_window, tol.stationary_slope + tol.stationary_window
+    checks = [
+        ("single-member family is tight",
+         single.holds
+         and abs(single.lhs - max(single.R1, single.R2)) <= tol.equality_tol * max(single.lhs, 1.0)),
+        ("orthogonal projectors are tight",
+         proj.holds
+         and abs(proj.lhs - 1.0) <= tol.equality_tol
+         and abs(max(proj.R1, proj.R2) - 1.0) <= tol.equality_tol),
+        ("random families satisfy the bound", all(c.holds for c in corpus)),
+        ("non-vanishing phase derivative decays fast", decays[0] >= tol.slope_floor),
+        ("stationary point slows decay to square-root rate", lo <= decays[1] <= hi),
+    ]
+    summary = [{"name": name, "passed": bool(passed)} for name, passed in checks]
+    summary[3]["slope"], summary[4]["slope"] = decays
+    return {"seed": seed, "checks": summary, "all_passed": all(c["passed"] for c in summary)}
