@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -55,8 +54,6 @@ EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_VALIDATION = 4
 
-SEED_ENV_VAR = "HAARGAP_SEED"
-
 # Fraction evaluates 10**exponent in full, so one short argument such as
 # 1e-999999999 would run for minutes; an integer past the interpreter's
 # 4300-digit int-to-str limit could not be printed anyway.
@@ -84,23 +81,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"cannot parse {text!r} as a rational 'p/q'") from exc
 
 
-def _printable_rational(text: str) -> Fraction:
-    """parse_rational(text), refused when its numerator or denominator has more
-    digits than sys.get_int_max_str_digits() allows (0: no limit), so that no
-    command runs on an input its answer could not print."""
-    value = parse_rational(text)
-    try:
-        str(value)
-    except ValueError:
-        raise ValueError(
-            f"cannot use {text!r}: its numerator or denominator has more than "
-            f"{sys.get_int_max_str_digits()} digits and could not be printed"
-        ) from None
-    return value
-
-
 def parse_direction(text: str) -> CartanElement:
-    coords = tuple(_printable_rational(p.strip()) for p in text.split(","))
+    coords = tuple(parse_rational(p.strip()) for p in text.split(","))
     _refuse_unprintable_sums(coords)
     # CartanElement rejects off-trace input, reporting the computed trace
     return CartanElement(coords)
@@ -111,10 +93,11 @@ def _refuse_unprintable_sums(coords: tuple[Fraction, ...]) -> None:
 
     With x the coordinates scaled by their common denominator d, every bound a
     command prints has a denominator dividing 2d and a numerator at most the
-    sum of |x_i - x_j| over the n(n-1)/2 pairs, so at most n(n-1) max|x_i|.
-    Each is checked against sys.get_int_max_str_digits() (0: no limit), and d
-    is built up one coordinate at a time, so the check stops as soon as it
-    fails.
+    sum of |x_i - x_j| over the n(n-1)/2 pairs, so at most n(n-1) max|x_i|;
+    at n = 1 the lone coordinate, which the trace check prints, is bounded
+    instead.  Each is checked against sys.get_int_max_str_digits() (0: no
+    limit), and d is built up one coordinate at a time, so the check stops as
+    soon as it fails.
     """
     limit = sys.get_int_max_str_digits()
     if not limit:
@@ -129,10 +112,10 @@ def _refuse_unprintable_sums(coords: tuple[Fraction, ...]) -> None:
                 f"coordinates has more than {limit} digits and could not be printed"
             )
     n = len(coords)
-    if n * (n - 1) * max(abs(c.numerator) * (d // c.denominator) for c in coords) >= too_long:
+    if max(n * (n - 1), 1) * max(abs(c.numerator) * (d // c.denominator) for c in coords) >= too_long:
         raise ValueError(
-            f"cannot use the direction: a sum of |x_i - x_j| over its pairs, with x "
-            f"scaled to integers, may have more than {limit} digits and could not be printed"
+            f"cannot use the direction: with x scaled to integers, a coordinate or a sum of "
+            f"|x_i - x_j| over its pairs may have more than {limit} digits and could not be printed"
         )
 
 
@@ -152,14 +135,30 @@ def _frac(x: Fraction) -> str:
         return str(x)
     except ValueError:
         raise ValueError(
-            f"a result has more than {sys.get_int_max_str_digits()} digits and could not be printed"
+            f"a value has more than {sys.get_int_max_str_digits()} digits and could not be printed"
         ) from None
 
 
-def _emit(args, command: str, inputs: dict, results: dict, table: str) -> None:
+def _inputs(args) -> dict:
+    """The payload's inputs: every parsed argument but the output options and
+    the unset ones, in declaration order, rendered as printed.  main renders
+    them before any work, so an input that could not be printed is refused
+    first."""
+    def echo(value):
+        if isinstance(value, list):  # a repeated --direction
+            return [echo(v) for v in value]
+        if isinstance(value, CartanElement):
+            return ",".join(_frac(c) for c in value.coords)
+        return _frac(value) if isinstance(value, Fraction) else value
+
+    return {key: echo(value) for key, value in vars(args).items()
+            if value is not None and key not in ("command", "format", "output", "handler")}
+
+
+def _emit(args, inputs: dict, results: dict, table: str) -> None:
     if args.format == "json":
         payload = {
-            "command": command,
+            "command": args.command,
             "inputs": inputs,
             "results": results,
             "version": __version__,
@@ -177,7 +176,7 @@ def _emit(args, command: str, inputs: dict, results: dict, table: str) -> None:
         print(text)
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args, inputs: dict) -> int:
     rs = build_type_a(args.n)
     direction = args.direction
     results = {
@@ -187,7 +186,6 @@ def _cmd_roots(args) -> int:
         "num_positive": len(rs.positive_indices),
         "positive_roots": [f"α_{r.i}{r.j}" for r in rs.positive_roots()],
     }
-    inputs = {"n": args.n}
     if direction is not None:
         if direction.n != rs.n:
             raise ValueError(f"direction has {direction.n} coordinates, expected {rs.n}")
@@ -202,7 +200,6 @@ def _cmd_roots(args) -> int:
             _frac(c) for c in dominant_representative(direction).coords
         ]
         results["is_regular"] = is_regular(direction)
-        inputs["direction"] = ",".join(_frac(c) for c in direction.coords)
     lines = [
         f"A_{rs.n - 1} root system for SL_{rs.n}",
         f"  roots: {results['num_roots']}  positive: {results['num_positive']}  rank: {rs.rank}",
@@ -214,14 +211,13 @@ def _cmd_roots(args) -> int:
             f"dominant {','.join(results['dominant_representative'])}, "
             f"regular: {results['is_regular']}"
         )
-    _emit(args, "roots", inputs, results, "\n".join(lines))
+    _emit(args, inputs, results, "\n".join(lines))
     return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, inputs: dict) -> int:
     rs = build_type_a(args.n)
     spec = lyapunov_spectrum(rs, args.direction)
-    inputs = {"n": args.n, "direction": ",".join(_frac(c) for c in args.direction.coords)}
     results = {
         "values": [_frac(v) for v in spec.values],
         "chi_max": _frac(spec.chi_max),
@@ -235,7 +231,6 @@ def _cmd_spectrum(args) -> int:
     ]
     if args.K is not None:
         split = fast_slow_split(rs, args.direction, args.K)
-        inputs["K"] = _frac(args.K)
         results["threshold"] = _frac(split.threshold)
         results["J0"] = split.J0
         results["slow_indices"] = list(split.slow_indices)
@@ -244,14 +239,13 @@ def _cmd_spectrum(args) -> int:
             f"  split at 1/(2K) = {results['threshold']}: "
             f"J0 = {split.J0} slow, {len(split.fast_indices)} fast"
         )
-    _emit(args, "spectrum", inputs, results, "\n".join(lines))
+    _emit(args, inputs, results, "\n".join(lines))
     return EXIT_OK
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args, inputs: dict) -> int:
     rs = build_type_a(args.n)
     spec = lyapunov_spectrum(rs, args.direction)
-    inputs = {"n": args.n, "direction": ",".join(_frac(c) for c in args.direction.coords)}
     results = {
         "thm14": _frac(entropy_lower_bound(rs, args.direction)),
         "haar": _frac(haar_entropy(rs, args.direction)),
@@ -265,22 +259,20 @@ def _cmd_bound(args) -> int:
         f"  conjectured lower bound: {results['optim']}",
     ]
     if args.K is not None:
-        inputs["K"] = _frac(args.K)
         exponent = dispersive_exponent(DispersiveQuery(args.K, args.direction), rs)
         results["dispersive_exponent"] = _frac(exponent)
         lines.append(f"  dispersive exponent at K={inputs['K']}: {results['dispersive_exponent']}")
-    _emit(args, "bound", inputs, results, "\n".join(lines))
+    _emit(args, inputs, results, "\n".join(lines))
     return EXIT_OK
 
 
-def _cmd_supports(args) -> int:
+def _cmd_supports(args, inputs: dict) -> int:
     if args.lattice == LATTICE_GENERIC:
         sets = enumerate_symmetric_closed(build_type_a(args.n))
     else:
         # printed in full below, so walked once here rather than once per use
         sets = list(enumerate_block_partitions(args.n))
     by_kind = dict(Counter(s.kind for s in sets))
-    inputs = {"n": args.n, "lattice": args.lattice}
     results = {
         "count": len(sets),
         "counts_by_kind": by_kind,
@@ -292,23 +284,14 @@ def _cmd_supports(args) -> int:
     ]
     if len(sets) <= 40:
         lines += [f"    {s.label}  [{s.kind}]" for s in sets]
-    _emit(args, "supports", inputs, results, "\n".join(lines))
+    _emit(args, inputs, results, "\n".join(lines))
     return EXIT_OK
 
 
-def _cmd_haar_lp(args) -> int:
-    directions = args.direction if args.direction else None
+def _cmd_haar_lp(args, inputs: dict) -> int:
     model = build_lp(rigidity_problem(
-        args.n, args.lattice, args.beta, bound_mode=args.bound_mode, test_directions=directions
+        args.n, args.lattice, args.beta, bound_mode=args.bound_mode, test_directions=args.direction
     ))
-    inputs = {
-        "n": args.n,
-        "lattice": args.lattice,
-        "beta": _frac(args.beta),
-        "bound_mode": args.bound_mode,
-    }
-    if directions:
-        inputs["direction"] = [",".join(_frac(c) for c in d.coords) for d in directions]
     num_variables = len(model.group_of)
     constraints = []
     for X, row, rhs in zip(model.directions, model.ge_rows, model.ge_rhs):
@@ -345,26 +328,23 @@ def _cmd_haar_lp(args) -> int:
         lines += [f"    {label:>24}  [{kind}]  {_frac(w)}" for label, kind, w in report.entries]
     else:
         lines.append(f"  status: {solution.status}")
-    _emit(args, "haar-lp", inputs, results, "\n".join(lines))
+    _emit(args, inputs, results, "\n".join(lines))
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    summary = run_validation_suite(seed)
-    lines = [f"Numerical validation suite (seed {seed})"]
+def _cmd_validate(args, inputs: dict) -> int:
+    summary = run_validation_suite(args.seed)
+    lines = [f"Numerical validation suite (seed {args.seed})"]
     for check in summary["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         extra = f"  slope={check['slope']:.3f}" if "slope" in check else ""
         lines.append(f"  [{mark}] {check['name']}{extra}")
     lines.append("all passed" if summary["all_passed"] else "FAILURES present")
-    _emit(args, "validate", {"seed": seed}, summary, "\n".join(lines))
+    _emit(args, inputs, summary, "\n".join(lines))
     return EXIT_OK if summary["all_passed"] else EXIT_VALIDATION
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, inputs: dict) -> int:
     rows = []
     half = Fraction(1, 2)
     generic_expected = {3: Fraction(1, 4), 4: Fraction(0)}
@@ -376,7 +356,7 @@ def _cmd_report(args) -> int:
         computed = min_haar_weight(n, LATTICE_INNER, half)
         rows.append((LATTICE_INNER, n, computed, inner_weight_formula(n)))
     all_equal = all(c == e for _, _, c, e in rows)
-    inputs = {"beta": _frac(half)}
+    inputs["beta"] = _frac(half)
     results = {
         "rows": [
             {
@@ -396,7 +376,7 @@ def _cmd_report(args) -> int:
     ]
     for mode, n, c, e in rows:
         lines.append(f"| {mode} | {n} | {_frac(c)} | {_frac(e)} | {'yes' if c == e else 'NO'} |")
-    _emit(args, "report", inputs, results, "\n".join(lines))
+    _emit(args, inputs, results, "\n".join(lines))
     return EXIT_OK if all_equal else EXIT_VALIDATION
 
 
@@ -424,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="Lyapunov spectrum and fast/slow split")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--direction", type=_argument(parse_direction), required=True)
-    p.add_argument("--K", type=_argument(_printable_rational), default=None)
+    p.add_argument("--K", type=_argument(parse_rational), default=None)
     common(p)
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("bound", help="entropy bounds and dispersive exponent")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--direction", type=_argument(parse_direction), required=True)
-    p.add_argument("--K", type=_argument(_printable_rational), default=None)
+    p.add_argument("--K", type=_argument(parse_rational), default=None)
     common(p)
     p.set_defaults(handler=_cmd_bound)
 
@@ -444,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("haar-lp", help="solve the Haar-weight linear program")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lattice", choices=(LATTICE_GENERIC, LATTICE_INNER), default=LATTICE_GENERIC)
-    p.add_argument("--beta", type=_argument(_printable_rational), required=True)
+    p.add_argument("--beta", type=_argument(parse_rational), required=True)
     p.add_argument("--bound-mode", choices=BOUND_MODES, default=BOUND_MODES[0])
     p.add_argument("--direction", type=_argument(parse_direction), action="append", default=None,
                    help="override the Weyl-orbit test directions (repeatable; "
@@ -453,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_haar_lp)
 
     p = sub.add_parser("validate", help="run the numerical validation suite")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"override the corpus seed (default: ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="the corpus seed (default: 0)")
     common(p)
     p.set_defaults(handler=_cmd_validate)
 
@@ -471,7 +450,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.handler(args)
+        return args.handler(args, _inputs(args))
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -248,11 +248,20 @@ def test_invalid_direction_exit_code_and_trace_message(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "trace 3" in err
+    # a direction of another n, refused by the command that reads it
+    assert cli.main(["roots", "--n", "3", "--direction", "1,-1,0,0"]) == 2
+    assert "direction has 4 coordinates, expected 3" in capsys.readouterr().err
+    assert cli.main(["haar-lp", "--n", "3", "--beta", "1/2", "--direction=1,-1"]) == 2
+    assert "test direction has n=2" in capsys.readouterr().err
 
 
 def test_invalid_rational_exit_code(capsys):
     code = cli.main(["haar-lp", "--n", "3", "--beta", "half"])
     assert code == 2
+    # an exponent that is not an integer is left for Fraction to refuse
+    for beta in ("1e1.5", "1e"):
+        assert cli.main(["haar-lp", "--n", "3", "--beta", beta]) == 2
+        assert "cannot parse" in capsys.readouterr().err
 
 
 def test_capacity_exit_code(capsys):
@@ -292,10 +301,16 @@ def test_unprintable_values_are_refused_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_type_a", no_work)
     for argv in (["haar-lp", "--n", "3", "--beta", "1e-4300"],
                  ["bound", "--n", "3", "--direction=1e4300,-1e4300,0"],
+                 # at n = 1 there are no pairs, but the trace check prints the coordinate
+                 ["roots", "--n", "1", "--direction=1e4300"],
+                 ["bound", "--n", "1", "--direction=1e4300"],
+                 ["spectrum", "--n", "3", "--direction", "2,-1,-1", "--K", "1e4300"],
+                 ["bound", "--n", "3", "--direction", "2,-1,-1", "--K=-1e4300"],
                  ["haar-lp", "--n", "3", "--beta", "1/2", "--direction=2,-1,-1",
                   "--direction=1e4300,-1e4300,0"]):
         assert cli.main(argv) == 2
-        assert "could not be printed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "could not be printed" in err and "Exceeds the limit" not in err
     # each coordinate prints, but not the common denominator (6904 digits), a
     # sum of scaled differences (N*M, 6904 digits), the Haar entropy
     # 36e4299 or the proved floor 7/(2D) with D = 9e4299
@@ -377,14 +392,15 @@ def test_validate_passes_with_default_seed(capsys):
     assert payload["inputs"]["seed"] == 0
 
 
-def test_validate_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
-    code, payload = run_json(capsys, ["validate"])
+def test_validate_output_depends_on_argv_alone(capsys, monkeypatch):
+    # HAARGAP_SEED once chose the default seed; the environment is now ignored
+    monkeypatch.setenv("HAARGAP_SEED", "7")
+    code = cli.main(["validate"])
+    default = capsys.readouterr().out
     assert code == 0
-    assert payload["inputs"]["seed"] == 7
-    # an explicit flag wins over the environment
-    code, payload = run_json(capsys, ["validate", "--seed", "3"])
-    assert payload["inputs"]["seed"] == 3
+    assert json.loads(default)["inputs"]["seed"] == 0
+    assert cli.main(["validate", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_validate_failure_maps_to_exit_4(capsys, monkeypatch):

@@ -150,6 +150,8 @@ def test_oscillatory_problem_validation():
         OscillatoryProblem(grid**3, grid, bump, (0.1, 0.01))
     with pytest.raises(ValueError, match="odd"):
         OscillatoryProblem(grid[:-1], grid[:-1], bump[:-1], (0.1, 0.01))
+    with pytest.raises(ValueError, match="equal length"):
+        OscillatoryProblem(grid, grid[:-2], bump, (0.1, 0.01))
 
 
 _GRID = np.linspace(-1, 1, 101)
