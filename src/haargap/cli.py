@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .rigidity import (
 )
 from .roots import (
     CartanElement,
+    abbreviated,
     build_type_a,
     dominant_representative,
     is_regular,
@@ -67,18 +69,22 @@ def run_validation_suite(seed: int) -> dict:
 
 
 def parse_rational(text: str) -> Fraction:
+    quoted = abbreviated(repr(text))
     try:
         exponent = int(text.lower().partition("e")[2] or 0)
     except ValueError:
         exponent = 0  # no integer exponent: Fraction judges the text itself
     if abs(exponent) > MAX_DECIMAL_EXPONENT:
         raise ValueError(
-            f"cannot parse {text!r}: decimal exponents are limited to ±{MAX_DECIMAL_EXPONENT}"
+            f"cannot parse {quoted}: decimal exponents are limited to ±{MAX_DECIMAL_EXPONENT}"
         )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse {text!r} as a rational 'p/q'") from exc
+        limit = sys.get_int_max_str_digits()
+        if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+            raise ValueError(f"cannot parse {quoted}: a number in it has more than {limit} digits") from exc
+        raise ValueError(f"cannot parse {quoted} as a rational 'p/q'") from exc
 
 
 def parse_direction(text: str) -> CartanElement:

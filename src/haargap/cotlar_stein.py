@@ -15,15 +15,19 @@ only, since both cross norms are symmetric in the pair and the diagonal is the
 member norm.  This is the only module that touches floating point; every
 tolerance lives in the single `TOLERANCES` record below.
 
-`run_validation_suite` runs the almost-orthogonality checks on one worker
-thread while the calling thread runs the two decay checks; the halves share
-no data and each check makes the same numpy calls on the same inputs as it
-would alone, so its output is the same floats whichever half finishes first.
+`run_validation_suite` runs the almost-orthogonality checks on a worker thread
+beside the decay checks, and each `oscillatory_decay` shares its h ladder with
+a helper thread.  Every array is allocated on the calling thread, the helper's
+scratch buffer too, and the helper writes only through `out=`, so no large
+block lands in a second malloc arena.  The exp argument is phase * (1/h) put
+in the imaginary part of a zeroed buffer: bitwise numpy's 1j * phase / h,
+without the array 1j * phase.  So each float is the one a sequential run gives.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -208,14 +212,30 @@ class OscillatoryDecay:
     max_phase_speed: float
 
 
+def _simpson_sum(weighted: np.ndarray, phase: np.ndarray, h: float, terms: np.ndarray) -> float:
+    """|sum(weighted * exp(1j * phase / h))|, computed in the complex buffer `terms`."""
+    terms.real = 0.0
+    np.multiply(phase, 1.0 / h, out=terms.imag)  # bitwise 1j * phase / h; phase / h is not
+    np.exp(terms, out=terms)
+    # weighted * terms would cast through a 128 KB ufunc buffer; this differs in zero signs only
+    np.multiply(weighted, terms.real, out=terms.real)
+    np.multiply(weighted, terms.imag, out=terms.imag)
+    return float(abs(np.sum(terms)))
+
+
 def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
     """Quadrature magnitudes |I_h| and the log-log decay slope over the h ladder.
 
     Refuses to run when the fastest oscillation is resolved by fewer than 20
     grid points per period, since the fitted slope would then be quadrature
-    noise rather than decay.
+    noise rather than decay.  The ladder is queued on a helper thread, which
+    works from the largest h down, while the calling thread works up from the
+    smallest, computing each quadrature whose future it can still cancel.  A
+    failure on either thread stops both before their next quadrature and is
+    raised here, after the helper is joined.
     """
     grid = problem.grid
+    hbars = problem.hbar_values
     dx = grid[1] - grid[0]
     speed = np.gradient(problem.phase, dx)
     amax = float(np.abs(problem.amplitude).max())
@@ -225,9 +245,10 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
         max_speed = float(np.abs(speed[support]).max())
     else:
         min_speed = max_speed = 0.0
+    del speed, support
 
     if max_speed > 0:
-        shortest_period = 2.0 * math.pi * min(problem.hbar_values) / max_speed
+        shortest_period = 2.0 * math.pi * min(hbars) / max_speed
         points_per_period = shortest_period / dx
         if points_per_period < TOLERANCES.min_points_per_period:
             needed = math.ceil(
@@ -239,23 +260,36 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
                 f"{TOLERANCES.min_points_per_period}); use at least {needed + 1} points"
             )
 
-    weights = np.ones_like(grid)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= dx / 3.0
+    weighted = np.ones_like(grid)
+    weighted[1:-1:2] = 4.0
+    weighted[2:-1:2] = 2.0
+    weighted *= dx / 3.0
+    weighted *= problem.amplitude
+    own, spare = np.empty(grid.shape, complex), np.empty(grid.shape, complex)
+    lock, stop = threading.Lock(), []  # stop: nonempty once a quadrature failed or the caller left
 
-    # weights * amplitude * exp(1j * phase / h), operation for operation, in one buffer
-    weighted = weights * problem.amplitude
-    iphase = 1j * problem.phase
-    terms = np.empty_like(iphase)
-    mags = []
-    for h in problem.hbar_values:
-        np.divide(iphase, h, out=terms)
-        np.exp(terms, out=terms)
-        np.multiply(weighted, terms, out=terms)
-        mags.append(float(abs(np.sum(terms))))
+    def helper(h):
+        try:
+            return None if stop else _simpson_sum(weighted, problem.phase, h, spare)
+        except BaseException:
+            with lock:
+                stop.append(h)
+            raise
 
-    usable = [(math.log(h), math.log(m)) for h, m in zip(problem.hbar_values, mags) if m > 0]
+    mags = [None] * len(hbars)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            futures = [pool.submit(helper, h) for h in hbars]
+            for i in reversed(range(len(hbars))):
+                with lock:  # check and claim at once, so no claim follows a failure
+                    if stop or not futures[i].cancel():
+                        break
+                mags[i] = _simpson_sum(weighted, problem.phase, hbars[i], own)
+            mags = [f.result() if m is None else m for f, m in zip(futures, mags)]
+        finally:
+            stop.append(None)
+
+    usable = [(math.log(h), math.log(m)) for h, m in zip(hbars, mags) if m > 0]
     if len(usable) >= 2:
         xs = np.array([u[0] for u in usable])
         ys = np.array([u[1] for u in usable])
@@ -263,7 +297,7 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
         slope = float(((xs - xbar) * (ys - ys.mean())).sum() / ((xs - xbar) ** 2).sum())
     else:
         slope = float("nan")
-    return OscillatoryDecay(problem.hbar_values, tuple(mags), slope, min_speed, max_speed)
+    return OscillatoryDecay(hbars, tuple(mags), slope, min_speed, max_speed)
 
 
 def seeded_family_corpus(seed: int, count: int = 50, max_members: int = 12, max_dim: int = 16):
@@ -300,11 +334,11 @@ def _cotlar_checks(seed: int) -> list:
 def run_validation_suite(seed: int = 0) -> dict:
     """Run every numerical check once; returns a summary with per-check verdicts.
 
-    The three Cotlar-Stein checks run on one worker thread while the calling
-    thread runs both decay checks, so that their 1-2 MB arrays stay in the
-    main malloc arena.  Each check is the same call on the same inputs as in
-    sequence, so the summary cannot change.  Leaving the executor joins the
-    worker, and ``result()`` re-raises its exception.
+    The three Cotlar-Stein checks run on a worker thread while the calling
+    thread runs both decay checks, each with its own helper thread; the two
+    halves share no data, and leaving the executor joins the worker, whose
+    exception ``result()`` re-raises.  The summary is the one the same checks
+    give in sequence.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
         cotlar = pool.submit(_cotlar_checks, seed)

@@ -18,6 +18,11 @@ from typing import Iterable, Sequence
 ROOT_SYSTEM_MAX_N = 64
 
 
+def abbreviated(text: str, width: int = 24) -> str:
+    """text, or its first `width` characters and its length when it is longer."""
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
+
+
 class CapacityError(Exception):
     """Raised when a requested size exceeds its configured limit."""
 
@@ -42,7 +47,8 @@ class CartanElement:
         trace = sum(coords, Fraction(0))
         if trace != 0:
             raise ValueError(
-                f"Cartan element must have coordinates summing to zero; got trace {trace}"
+                f"Cartan element must have coordinates summing to zero; "
+                f"got trace {abbreviated(str(trace))}"
             )
 
     @property

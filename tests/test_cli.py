@@ -253,6 +253,11 @@ def test_invalid_direction_exit_code_and_trace_message(capsys):
     assert "direction has 4 coordinates, expected 3" in capsys.readouterr().err
     assert cli.main(["haar-lp", "--n", "3", "--beta", "1/2", "--direction=1,-1"]) == 2
     assert "test direction has n=2" in capsys.readouterr().err
+    # a 501-digit trace is quoted by its first digits and its length
+    assert cli.main(["roots", "--n", "3", "--direction=1e500,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "got trace 100000000000000000000000... (501 characters)" in err
+    assert len(err) < 400
 
 
 def test_invalid_rational_exit_code(capsys):
@@ -262,6 +267,14 @@ def test_invalid_rational_exit_code(capsys):
     for beta in ("1e1.5", "1e"):
         assert cli.main(["haar-lp", "--n", "3", "--beta", beta]) == 2
         assert "cannot parse" in capsys.readouterr().err
+    # well formed, but with more digits than int() reads: the message names
+    # the limit and quotes only the start of the argument
+    limit = sys.get_int_max_str_digits()
+    for beta in ("1/" + "7" * (limit + 100), "0." + "0" * (limit + 100) + "1"):
+        assert cli.main(["haar-lp", "--n", "3", "--beta", beta]) == 2
+        err = capsys.readouterr().err
+        assert f"a number in it has more than {limit} digits" in err
+        assert f"({len(beta) + 2} characters)" in err and len(err) < 600
 
 
 def test_capacity_exit_code(capsys):

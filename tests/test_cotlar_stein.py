@@ -1,7 +1,11 @@
 """Numerical checks: operator norms, the almost-orthogonality bound, decay slopes."""
 
 import math
+import sys
 import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -208,8 +212,16 @@ def _simpson_weights(grid):
             hbar_values=(0.2, 0.1, 0.05),
             num_points=2**10 + 1,
         ),
+        # short quadratures on a long ladder, so that the helper thread and the
+        # calling thread each claim some of them, and not the same ones each call
+        OscillatoryProblem.from_functions(
+            lambda x: np.sin(3 * x),
+            smooth_bump,
+            hbar_values=tuple(np.geomspace(0.2, 0.05, 40)),
+            num_points=2**10 + 1,
+        ),
     ],
-    ids=["nonstationary", "stationary", "short-grid"],
+    ids=["nonstationary", "stationary", "short-grid", "long-ladder"],
 )
 def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem):
     weights = _simpson_weights(problem.grid)
@@ -218,6 +230,49 @@ def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem):
         for h in problem.hbar_values
     )
     assert oscillatory_decay(problem).magnitudes == expected
+    # repeated calls, concurrent on more threads than cores and with frequent
+    # switches, divide the ladder differently each time but give the same floats
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            runs = [pool.submit(oscillatory_decay, problem) for _ in range(6)]
+            assert [run.result(timeout=60).magnitudes for run in runs] == [expected] * 6
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("phase", [lambda x: x, lambda x: x**2 / 2.0], ids=["nonstationary", "stationary"])
+def test_decay_check_buffers_stay_on_the_calling_thread(phase):
+    # the weighted amplitude and two complex scratch buffers, one per thread,
+    # make five grids; holding 1j * phase and the phase speeds as well made 7.25
+    problem = OscillatoryProblem.from_functions(phase, smooth_bump)
+    tracemalloc.start()
+    try:
+        oscillatory_decay(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * problem.grid.nbytes
+
+    # one quadrature in caller-owned buffers allocates nothing large, so the
+    # helper thread never grows a malloc arena of its own
+    terms = np.empty(problem.grid.shape, complex)
+    peaks = []
+
+    def quadrature():
+        tracemalloc.start()
+        try:
+            cotlar_stein._simpson_sum(problem.amplitude, problem.phase, 0.01, terms)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=quadrature)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert peaks and peaks[0] <= 64 * 1024
 
 
 def test_validation_suite_passes_and_is_seeded():
@@ -247,6 +302,35 @@ def test_validation_suite_worker_exception_propagates_and_joins(monkeypatch):
     with pytest.raises(RuntimeError, match="worker failed"):
         run_validation_suite(0)
     assert threading.active_count() == threads
+    monkeypatch.undo()
+
+    # a quadrature that fails on the calling thread, then one that fails on
+    # the decay check's helper thread: the other thread's quadrature in flight
+    # may finish, but none still queued may start after the failure
+    caller = threading.get_ident()
+    for failing_thread in ("caller", "helper"):
+        failed = threading.Event()
+        late = []
+
+        def quadrature(weighted, phase, h, terms):
+            late.append(failed.is_set())
+            on_caller = threading.get_ident() == caller
+            if on_caller == (failing_thread == "caller"):
+                failed.set()
+                raise RuntimeError(f"{failing_thread} failed")
+            # still running when the other thread fails; the caller waits for
+            # the helper, so that the helper gets a quadrature to fail on
+            if on_caller:
+                failed.wait(10)
+            time.sleep(0.05)
+            return 1.0
+
+        monkeypatch.setattr(cotlar_stein, "_simpson_sum", quadrature)
+        with pytest.raises(RuntimeError, match=f"{failing_thread} failed"):
+            run_validation_suite(0)
+        assert threading.active_count() == threads
+        assert late and not any(late)
+        monkeypatch.undo()
 
 
 def _gram_norm(M):
