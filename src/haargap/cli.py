@@ -60,6 +60,9 @@ EXIT_VALIDATION = 4
 # 1e-999999999 would run for minutes; an integer past the interpreter's
 # 4300-digit int-to-str limit could not be printed anyway.
 MAX_DECIMAL_EXPONENT = 4300
+# Python 3.10's Fraction grammar on every version: p/q or a decimal, without
+# digit-group underscores or spaces around "/".  Groups: p, q, decimals, exponent.
+_RATIONAL = re.compile(r"\s*[-+]?(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:e[-+]?(\d+))?)\s*", re.I)
 
 
 def run_validation_suite(seed: int) -> dict:
@@ -70,21 +73,17 @@ def run_validation_suite(seed: int) -> dict:
 
 def parse_rational(text: str) -> Fraction:
     quoted = abbreviated(repr(text))
-    try:
-        exponent = int(text.lower().partition("e")[2] or 0)
-    except ValueError:
-        exponent = 0  # no integer exponent: Fraction judges the text itself
-    if abs(exponent) > MAX_DECIMAL_EXPONENT:
+    match = _RATIONAL.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    if match and limit and max(map(len, match.groups(""))) > limit:
+        raise ValueError(f"cannot parse {quoted}: a number in it has more than {limit} digits")
+    if not match or match[2] and not int(match[2]):  # not p/q or a decimal, or q = 0
+        raise ValueError(f"cannot parse {quoted} as a rational 'p/q'")
+    if int(match[4] or 0) > MAX_DECIMAL_EXPONENT:
         raise ValueError(
             f"cannot parse {quoted}: decimal exponents are limited to ±{MAX_DECIMAL_EXPONENT}"
         )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        limit = sys.get_int_max_str_digits()
-        if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
-            raise ValueError(f"cannot parse {quoted}: a number in it has more than {limit} digits") from exc
-        raise ValueError(f"cannot parse {quoted} as a rational 'p/q'") from exc
+    return Fraction(text)
 
 
 def parse_direction(text: str) -> CartanElement:

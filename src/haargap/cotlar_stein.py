@@ -16,12 +16,13 @@ member norm.  This is the only module that touches floating point; every
 tolerance lives in the single `TOLERANCES` record below.
 
 `run_validation_suite` runs the almost-orthogonality checks on a worker thread
-beside the decay checks, and each `oscillatory_decay` shares its h ladder with
-a helper thread.  Every array is allocated on the calling thread, the helper's
-scratch buffer too, and the helper writes only through `out=`, so no large
-block lands in a second malloc arena.  The exp argument is phase * (1/h) put
-in the imaginary part of a zeroed buffer: bitwise numpy's 1j * phase / h,
-without the array 1j * phase.  So each float is the one a sequential run gives.
+beside the decay checks, and each `oscillatory_decay` claims its h values from
+one shared queue on two threads, the calling one and a helper.  Every array is
+allocated on the calling thread, the helper's scratch buffer too, and the
+helper writes only through `out=`, so no large block lands in a second malloc
+arena.  The exp argument is phase * (1/h) put in the imaginary part of a
+zeroed buffer: bitwise numpy's 1j * phase / h, without the array 1j * phase.
+So each float is the one a sequential run gives.
 """
 
 from __future__ import annotations
@@ -228,11 +229,11 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
 
     Refuses to run when the fastest oscillation is resolved by fewer than 20
     grid points per period, since the fitted slope would then be quadrature
-    noise rather than decay.  The ladder is queued on a helper thread, which
-    works from the largest h down, while the calling thread works up from the
-    smallest, computing each quadrature whose future it can still cancel.  A
-    failure on either thread stops both before their next quadrature and is
-    raised here, after the helper is joined.
+    noise rather than decay.  The calling thread and a helper thread run one
+    loop: claim the next h from a shared queue under a lock, then compute its
+    quadrature in the thread's own scratch buffer.  A thread leaving its loop,
+    at the queue's end or by a failure, sets `stop` under the lock, so no h is
+    claimed after a failure; the error is raised after the helper is joined.
     """
     grid = problem.grid
     hbars = problem.hbar_values
@@ -266,28 +267,25 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
     weighted *= dx / 3.0
     weighted *= problem.amplitude
     own, spare = np.empty(grid.shape, complex), np.empty(grid.shape, complex)
-    lock, stop = threading.Lock(), []  # stop: nonempty once a quadrature failed or the caller left
+    mags, todo = [None] * len(hbars), iter(range(len(hbars)))
+    lock, stop = threading.Lock(), []  # stop: nonempty once either thread left its loop
 
-    def helper(h):
+    def work(terms):
         try:
-            return None if stop else _simpson_sum(weighted, problem.phase, h, spare)
-        except BaseException:
-            with lock:
-                stop.append(h)
-            raise
-
-    mags = [None] * len(hbars)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        try:
-            futures = [pool.submit(helper, h) for h in hbars]
-            for i in reversed(range(len(hbars))):
+            while True:
                 with lock:  # check and claim at once, so no claim follows a failure
-                    if stop or not futures[i].cancel():
-                        break
-                mags[i] = _simpson_sum(weighted, problem.phase, hbars[i], own)
-            mags = [f.result() if m is None else m for f, m in zip(futures, mags)]
+                    i = None if stop else next(todo, None)
+                if i is None:
+                    return
+                mags[i] = _simpson_sum(weighted, problem.phase, hbars[i], terms)
         finally:
-            stop.append(None)
+            with lock:
+                stop.append(None)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(work, spare)
+        work(own)
+        helper.result()
 
     usable = [(math.log(h), math.log(m)) for h, m in zip(hbars, mags) if m > 0]
     if len(usable) >= 2:

@@ -267,6 +267,13 @@ def test_invalid_rational_exit_code(capsys):
     for beta in ("1e1.5", "1e"):
         assert cli.main(["haar-lp", "--n", "3", "--beta", beta]) == 2
         assert "cannot parse" in capsys.readouterr().err
+    # one grammar on every Python: Fraction reads digit-group underscores from
+    # 3.11 on and spaces around "/" from 3.12 on, and both are refused
+    for argv in (["haar-lp", "--n", "3", "--beta", "1_0/20"],
+                 ["haar-lp", "--n", "3", "--beta", "1 / 2"],
+                 ["bound", "--n", "3", "--direction=2_0,-1_0,-1_0"]):
+        assert cli.main(argv) == 2
+        assert "cannot parse" in capsys.readouterr().err
     # well formed, but with more digits than int() reads: the message names
     # the limit and quotes only the start of the argument
     limit = sys.get_int_max_str_digits()
