@@ -27,6 +27,7 @@ from .rigidity import (
     extremal_vertex_report,
     extreme_direction,
     inner_weight_formula,
+    lattice_supports,
     min_haar_weight,
     rigidity_problem,
     solve_lp,

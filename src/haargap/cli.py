@@ -2,7 +2,8 @@
 
 Subcommands: roots, spectrum, bound, supports, haar-lp, validate, report.
 Exact quantities are serialized as "p/q" strings, never floats; floats appear
-only in `validate` payloads.  Exit codes: 0 success, 2 invalid input,
+only in `validate` payloads.  Each handler returns its results, table lines
+and exit code, and main prints them.  Exit codes: 0 success, 2 invalid input,
 3 capacity exceeded, 4 validation failure.
 """
 
@@ -34,6 +35,7 @@ from .rigidity import (
     build_lp,
     extremal_vertex_report,
     inner_weight_formula,
+    lattice_supports,
     min_haar_weight,
     rigidity_problem,
     solve_lp,
@@ -45,11 +47,7 @@ from .roots import (
     dominant_representative,
     is_regular,
 )
-from .supports import (
-    CapacityError,
-    enumerate_block_partitions,
-    enumerate_symmetric_closed,
-)
+from .supports import CapacityError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -160,7 +158,7 @@ def _inputs(args) -> dict:
             if value is not None and key not in ("command", "format", "output", "handler")}
 
 
-def _emit(args, inputs: dict, results: dict, table: str) -> None:
+def _emit(args, inputs: dict, results: dict, lines: list[str]) -> None:
     if args.format == "json":
         payload = {
             "command": args.command,
@@ -170,7 +168,7 @@ def _emit(args, inputs: dict, results: dict, table: str) -> None:
         }
         text = json.dumps(payload, indent=2, ensure_ascii=False)
     else:
-        text = table
+        text = "\n".join(lines)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -181,7 +179,7 @@ def _emit(args, inputs: dict, results: dict, table: str) -> None:
         print(text)
 
 
-def _cmd_roots(args, inputs: dict) -> int:
+def _cmd_roots(args, inputs: dict) -> tuple[dict, list[str], int]:
     rs = build_type_a(args.n)
     direction = args.direction
     results = {
@@ -216,11 +214,10 @@ def _cmd_roots(args, inputs: dict) -> int:
             f"dominant {','.join(results['dominant_representative'])}, "
             f"regular: {results['is_regular']}"
         )
-    _emit(args, inputs, results, "\n".join(lines))
-    return EXIT_OK
+    return results, lines, EXIT_OK
 
 
-def _cmd_spectrum(args, inputs: dict) -> int:
+def _cmd_spectrum(args, inputs: dict) -> tuple[dict, list[str], int]:
     rs = build_type_a(args.n)
     spec = lyapunov_spectrum(rs, args.direction)
     results = {
@@ -244,11 +241,10 @@ def _cmd_spectrum(args, inputs: dict) -> int:
             f"  split at 1/(2K) = {results['threshold']}: "
             f"J0 = {split.J0} slow, {len(split.fast_indices)} fast"
         )
-    _emit(args, inputs, results, "\n".join(lines))
-    return EXIT_OK
+    return results, lines, EXIT_OK
 
 
-def _cmd_bound(args, inputs: dict) -> int:
+def _cmd_bound(args, inputs: dict) -> tuple[dict, list[str], int]:
     rs = build_type_a(args.n)
     spec = lyapunov_spectrum(rs, args.direction)
     results = {
@@ -267,16 +263,12 @@ def _cmd_bound(args, inputs: dict) -> int:
         exponent = dispersive_exponent(DispersiveQuery(args.K, args.direction), rs)
         results["dispersive_exponent"] = _frac(exponent)
         lines.append(f"  dispersive exponent at K={inputs['K']}: {results['dispersive_exponent']}")
-    _emit(args, inputs, results, "\n".join(lines))
-    return EXIT_OK
+    return results, lines, EXIT_OK
 
 
-def _cmd_supports(args, inputs: dict) -> int:
-    if args.lattice == LATTICE_GENERIC:
-        sets = enumerate_symmetric_closed(build_type_a(args.n))
-    else:
-        # printed in full below, so walked once here rather than once per use
-        sets = list(enumerate_block_partitions(args.n))
+def _cmd_supports(args, inputs: dict) -> tuple[dict, list[str], int]:
+    # printed in full below, so walked once here rather than once per use
+    sets = list(lattice_supports(args.n, args.lattice)[1])
     by_kind = dict(Counter(s.kind for s in sets))
     results = {
         "count": len(sets),
@@ -289,11 +281,10 @@ def _cmd_supports(args, inputs: dict) -> int:
     ]
     if len(sets) <= 40:
         lines += [f"    {s.label}  [{s.kind}]" for s in sets]
-    _emit(args, inputs, results, "\n".join(lines))
-    return EXIT_OK
+    return results, lines, EXIT_OK
 
 
-def _cmd_haar_lp(args, inputs: dict) -> int:
+def _cmd_haar_lp(args, inputs: dict) -> tuple[dict, list[str], int]:
     model = build_lp(rigidity_problem(
         args.n, args.lattice, args.beta, bound_mode=args.bound_mode, test_directions=args.direction
     ))
@@ -333,11 +324,10 @@ def _cmd_haar_lp(args, inputs: dict) -> int:
         lines += [f"    {label:>24}  [{kind}]  {_frac(w)}" for label, kind, w in report.entries]
     else:
         lines.append(f"  status: {solution.status}")
-    _emit(args, inputs, results, "\n".join(lines))
-    return EXIT_OK
+    return results, lines, EXIT_OK
 
 
-def _cmd_validate(args, inputs: dict) -> int:
+def _cmd_validate(args, inputs: dict) -> tuple[dict, list[str], int]:
     summary = run_validation_suite(args.seed)
     lines = [f"Numerical validation suite (seed {args.seed})"]
     for check in summary["checks"]:
@@ -345,11 +335,10 @@ def _cmd_validate(args, inputs: dict) -> int:
         extra = f"  slope={check['slope']:.3f}" if "slope" in check else ""
         lines.append(f"  [{mark}] {check['name']}{extra}")
     lines.append("all passed" if summary["all_passed"] else "FAILURES present")
-    _emit(args, inputs, summary, "\n".join(lines))
-    return EXIT_OK if summary["all_passed"] else EXIT_VALIDATION
+    return summary, lines, EXIT_OK if summary["all_passed"] else EXIT_VALIDATION
 
 
-def _cmd_report(args, inputs: dict) -> int:
+def _cmd_report(args, inputs: dict) -> tuple[dict, list[str], int]:
     rows = []
     half = Fraction(1, 2)
     generic_expected = {3: Fraction(1, 4), 4: Fraction(0)}
@@ -381,8 +370,7 @@ def _cmd_report(args, inputs: dict) -> int:
     ]
     for mode, n, c, e in rows:
         lines.append(f"| {mode} | {n} | {_frac(c)} | {_frac(e)} | {'yes' if c == e else 'NO'} |")
-    _emit(args, inputs, results, "\n".join(lines))
-    return EXIT_OK if all_equal else EXIT_VALIDATION
+    return results, lines, EXIT_OK if all_equal else EXIT_VALIDATION
 
 
 @functools.cache
@@ -455,7 +443,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.handler(args, _inputs(args))
+        inputs = _inputs(args)
+        results, lines, code = args.handler(args, inputs)
+        _emit(args, inputs, results, lines)
+        return code
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

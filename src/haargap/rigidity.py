@@ -40,6 +40,19 @@ LATTICE_INNER = "inner"
 _ZERO = Fraction(0)
 
 
+def lattice_supports(n: int, lattice: str) -> tuple[RootSystem, Iterable[Partition]]:
+    """SL_n's root system and the lattice class's supports: generic, the sorted
+    tuple of every set partition; inner, the lazy walk of the equal-size block
+    partitions, whose limits are checked before the root system is built."""
+    if lattice == LATTICE_GENERIC:
+        rs = build_type_a(n)
+        return rs, tuple(enumerate_symmetric_closed(rs))
+    if lattice == LATTICE_INNER:
+        supports = enumerate_block_partitions(n)
+        return build_type_a(n), supports
+    raise ValueError(f"unknown lattice class {lattice!r}; expected 'generic' or 'inner'")
+
+
 @dataclass(frozen=True)
 class RigidityProblem:
     """An instance of the entropy game: supports, test directions, bound choice.
@@ -260,14 +273,7 @@ def rigidity_problem(
     """Assemble the standard problem instance for SL_n with the given lattice class."""
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
-    if lattice == LATTICE_GENERIC:
-        rs = build_type_a(n)
-        supports = tuple(enumerate_symmetric_closed(rs))
-    elif lattice == LATTICE_INNER:
-        supports = enumerate_block_partitions(n)
-        rs = build_type_a(n)
-    else:
-        raise ValueError(f"unknown lattice class {lattice!r}; expected 'generic' or 'inner'")
+    rs, supports = lattice_supports(n, lattice)
     directions = tuple(test_directions) if test_directions else default_test_directions(n)
     return RigidityProblem(rs, supports, directions, Fraction(beta), bound_mode)
 

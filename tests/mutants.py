@@ -84,6 +84,33 @@ MUTANTS = {
         "    def work(terms):\n        todo = iter(range(len(hbars)))\n",
         "tests/test_cotlar_stein.py",
     ),
+    "generic supports left unsorted": (
+        "supports.py",
+        "    found.sort(key=lambda p: (p.mask.bit_count(), p.mask))\n",
+        "",
+        "tests/test_supports.py",
+    ),
+    "haar-lp solves before it renders the constraints": (
+        "cli.py",
+        "    num_variables = len(model.group_of)\n",
+        "    solution = solve_lp(model)\n    num_variables = len(model.group_of)\n",
+        "tests/test_cli.py",
+    ),
+    "sums check without its n = 1 floor": (
+        "cli.py",
+        "if max(n * (n - 1), 1) * max(",
+        "if n * (n - 1) * max(",
+        "tests/test_cli.py",
+    ),
+    "validation executor never shut down": (
+        "cotlar_stein.py",
+        "    with ThreadPoolExecutor(max_workers=1) as pool:\n"
+        "        cotlar = pool.submit(_cotlar_checks, seed)\n",
+        "    pool = ThreadPoolExecutor(max_workers=1)\n"
+        "    if True:\n"
+        "        cotlar = pool.submit(_cotlar_checks, seed)\n",
+        "tests/test_cotlar_stein.py",
+    ),
 }
 
 

@@ -348,6 +348,27 @@ def test_validation_suite_worker_exception_propagates_and_joins(monkeypatch):
         monkeypatch.undo()
 
 
+def test_validation_suite_joins_every_executor_it_starts(monkeypatch):
+    # a live-thread count can miss a leaked executor whose idle worker exits
+    # meanwhile; a record of each executor's shutdown cannot
+    started = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.joined = False
+            started.append(self)
+
+        def shutdown(self, wait=True, **kwargs):
+            super().shutdown(wait, **kwargs)
+            self.joined = wait
+
+    monkeypatch.setattr(cotlar_stein, "ThreadPoolExecutor", Recorded)
+    run_validation_suite(0)
+    # the suite's Cotlar-Stein worker and one helper per decay check
+    assert len(started) == 3 and all(e.joined for e in started)
+
+
 def _gram_norm(M):
     return math.sqrt(max(np.linalg.eigvalsh(M.conj().T @ M)[-1], 0.0))
 
