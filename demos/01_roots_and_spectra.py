@@ -33,5 +33,5 @@ spec = lyapunov_spectrum(rs, X)
 print("spectrum:", [str(v) for v in spec.values], "chi_max =", spec.chi_max)
 
 # Exponents split into slow (< 1/(2K)) and fast ones for a horizon constant K.
-split = fast_slow_split(rs, X, Fraction(1, 3))
+split = fast_slow_split(spec, Fraction(1, 3))
 print(f"K = 1/3: threshold {split.threshold}, J0 = {split.J0} slow, {len(split.fast_indices)} fast")

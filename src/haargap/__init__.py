@@ -7,11 +7,9 @@ of the almost-orthogonality and oscillatory-decay estimates behind the bounds.
 """
 
 from .entropy import (
-    DispersiveQuery,
     FastSlowSplit,
     LyapunovSpectrum,
     conjectured_entropy_bound,
-    dispersive_exponent,
     entropy_lower_bound,
     fast_slow_split,
     haar_entropy,

@@ -10,9 +10,11 @@ and exit code, and main prints them.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -20,9 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .entropy import (
-    DispersiveQuery,
     conjectured_entropy_bound,
-    dispersive_exponent,
     entropy_lower_bound,
     fast_slow_split,
     haar_entropy,
@@ -169,14 +169,20 @@ def _emit(args, inputs: dict, results: dict, lines: list[str]) -> None:
         text = json.dumps(payload, indent=2, ensure_ascii=False)
     else:
         text = "\n".join(lines)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write --output: {exc}") from exc
-    else:
-        print(text)
+    try:
+        with (open(args.output, "w", encoding="utf-8") if args.output
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            # the newline is written apart: where stdout is unbuffered, a write
+            # cut short goes unreported, and the next one fails
+            print(text, file=sink, flush=True)
+    except OSError as exc:
+        if not args.output:
+            # what stays buffered goes to os.devnull, so the interpreter's own
+            # flush at exit does not fail again and print "Exception ignored"
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        where = "--output" if args.output else "standard output"
+        raise ValueError(f"cannot write {where}: {exc}") from exc
 
 
 def _cmd_roots(args, inputs: dict) -> tuple[dict, list[str], int]:
@@ -232,7 +238,7 @@ def _cmd_spectrum(args, inputs: dict) -> tuple[dict, list[str], int]:
         f"  chi_max: {results['chi_max']}",
     ]
     if args.K is not None:
-        split = fast_slow_split(rs, args.direction, args.K)
+        split = fast_slow_split(spec, args.K)
         results["threshold"] = _frac(split.threshold)
         results["J0"] = split.J0
         results["slow_indices"] = list(split.slow_indices)
@@ -260,8 +266,7 @@ def _cmd_bound(args, inputs: dict) -> tuple[dict, list[str], int]:
         f"  conjectured lower bound: {results['optim']}",
     ]
     if args.K is not None:
-        exponent = dispersive_exponent(DispersiveQuery(args.K, args.direction), rs)
-        results["dispersive_exponent"] = _frac(exponent)
+        results["dispersive_exponent"] = _frac(fast_slow_split(spec, args.K).dispersive_exponent)
         lines.append(f"  dispersive exponent at K={inputs['K']}: {results['dispersive_exponent']}")
     return results, lines, EXIT_OK
 

@@ -45,27 +45,17 @@ class FastSlowSplit:
     """Partition of the positive spectrum at the threshold 1/(2K).
 
     Slow means strictly below the threshold; J0 is the slow dimension.
-    Indices refer to the sorted spectrum.
+    Indices refer to the sorted spectrum.  The dispersive exponent is the net
+    power of the semiclassical parameter in the dispersive bound: each fast
+    exponent chi contributes K*chi - 1/2 and slow ones nothing.  The constant
+    prefactor and the tube-width slack stay symbolic.
     """
 
     threshold: Fraction
     slow_indices: tuple[int, ...]
     fast_indices: tuple[int, ...]
     J0: int
-    J: int
-
-
-@dataclass(frozen=True)
-class DispersiveQuery:
-    """A log-time horizon constant K > 0 together with a flow direction."""
-
-    K: Fraction
-    direction: CartanElement
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "K", Fraction(self.K))
-        if self.K <= 0:
-            raise ValueError(f"horizon constant K must be positive, got {self.K}")
+    dispersive_exponent: Fraction
 
 
 def _scaled(rs: RootSystem, X: CartanElement) -> tuple[list[int], int]:
@@ -118,29 +108,13 @@ def conjectured_entropy_bound(rs: RootSystem, X: CartanElement) -> Fraction:
     return haar_entropy(rs, X) / 2
 
 
-def fast_slow_split(rs: RootSystem, X: CartanElement, K) -> FastSlowSplit:
-    """Split the spectrum at 1/(2K): strictly smaller exponents are slow."""
-    K = DispersiveQuery(K, X).K  # checked before the spectrum is built
-    return _split(lyapunov_spectrum(rs, X), K)
-
-
-def _split(spec: LyapunovSpectrum, K: Fraction) -> FastSlowSplit:
+def fast_slow_split(spec: LyapunovSpectrum, K) -> FastSlowSplit:
+    """Split the spectrum at 1/(2K), K > 0: strictly smaller exponents are slow."""
+    K = Fraction(K)
+    if K <= 0:
+        raise ValueError(f"horizon constant K must be positive, got {K}")
     threshold = Fraction(1, 2) / K
     slow = tuple(i for i, v in enumerate(spec.values) if v < threshold)
     fast = tuple(i for i, v in enumerate(spec.values) if v >= threshold)
-    return FastSlowSplit(threshold, slow, fast, len(slow), spec.J)
-
-
-def dispersive_exponent(q: DispersiveQuery, rs: RootSystem) -> Fraction:
-    """Net power of the semiclassical parameter in the dispersive bound.
-
-    Each fast exponent chi (those with chi >= 1/(2K)) contributes K*chi - 1/2;
-    slow exponents contribute nothing.  The constant prefactor and the
-    tube-width slack stay symbolic.
-    """
-    spec = lyapunov_spectrum(rs, q.direction)
-    split = _split(spec, q.K)
-    total = Fraction(0)
-    for i in split.fast_indices:
-        total += q.K * spec.values[i] - Fraction(1, 2)
-    return total
+    exponent = sum((K * spec.values[i] - Fraction(1, 2) for i in fast), Fraction(0))
+    return FastSlowSplit(threshold, slow, fast, len(slow), exponent)

@@ -103,9 +103,18 @@ class BlockPartitions:
     """The equal-size block partitions of {1..n}, walked afresh on each iteration.
 
     Its length is the closed form: the sum over k | n of n!/((k!)^(n/k) (n/k)!).
+    n outside 2..BLOCK_PARTITION_LIMIT is refused when it is made.
     """
 
     n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"invalid dimension n={self.n}; need n >= 2")
+        if self.n > BLOCK_PARTITION_LIMIT:
+            raise CapacityError(
+                f"n={self.n} exceeds the block-partition enumeration limit of {BLOCK_PARTITION_LIMIT}"
+            )
 
     def __iter__(self):
         elements = tuple(range(1, self.n + 1))
@@ -124,10 +133,4 @@ def enumerate_block_partitions(n: int) -> BlockPartitions:
     k = 1 yields ∅ and k = n yields Δ.  Within each k the partitions come out
     in lexicographic order of their block lists.
     """
-    if n < 2:
-        raise ValueError(f"invalid dimension n={n}; need n >= 2")
-    if n > BLOCK_PARTITION_LIMIT:
-        raise CapacityError(
-            f"n={n} exceeds the block-partition enumeration limit of {BLOCK_PARTITION_LIMIT}"
-        )
     return BlockPartitions(n)

@@ -102,6 +102,36 @@ MUTANTS = {
         "if n * (n - 1) * max(",
         "tests/test_cli.py",
     ),
+    "K = 0 let through the split": (
+        "entropy.py",
+        "    if K <= 0:\n",
+        "    if K < 0:\n",
+        "tests/test_entropy.py",
+    ),
+    "dispersive exponent without its - 1/2": (
+        "entropy.py",
+        "K * spec.values[i] - Fraction(1, 2) for i in fast",
+        "K * spec.values[i] for i in fast",
+        "tests/test_entropy.py",
+    ),
+    "failed stdout write not caught": (
+        "cli.py",
+        "    except OSError as exc:\n        if not args.output:\n",
+        "    except OSError as exc:\n        if not args.output:\n            raise\n",
+        "tests/test_cli.py",
+    ),
+    "unwritten stdout left for the exit flush": (
+        "cli.py",
+        "                os.dup2(devnull.fileno(), sys.stdout.fileno())\n",
+        "                pass\n",
+        "tests/test_cli.py",
+    ),
+    "BlockPartitions without its limit check": (
+        "supports.py",
+        "        if self.n > BLOCK_PARTITION_LIMIT:\n",
+        "        if False:\n",
+        "tests/test_supports.py",
+    ),
     "validation executor never shut down": (
         "cotlar_stein.py",
         "    with ThreadPoolExecutor(max_workers=1) as pool:\n"

@@ -24,10 +24,9 @@ from haargap.cotlar_stein import (
     smooth_bump,
 )
 from haargap.entropy import (
-    DispersiveQuery,
     conjectured_entropy_bound,
-    dispersive_exponent,
     entropy_lower_bound,
+    fast_slow_split,
     haar_entropy,
     lyapunov_spectrum,
 )
@@ -106,10 +105,10 @@ def test_criterion_5_entropy_property_suite():
                 assert haar_entropy(rs, X.scaled(c)) == c * haar_entropy(rs, X)
                 assert entropy_lower_bound(rs, X) <= haar_entropy(rs, X)
                 if not X.is_zero():
-                    chi_max = lyapunov_spectrum(rs, X).chi_max
-                    assert entropy_lower_bound(rs, X) >= chi_max / 2 > 0
-                    E = dispersive_exponent(DispersiveQuery(1 / chi_max, X), rs)
-                    assert E * chi_max == entropy_lower_bound(rs, X)
+                    spec = lyapunov_spectrum(rs, X)
+                    assert entropy_lower_bound(rs, X) >= spec.chi_max / 2 > 0
+                    E = fast_slow_split(spec, 1 / spec.chi_max).dispersive_exponent
+                    assert E * spec.chi_max == entropy_lower_bound(rs, X)
             extreme = cartan(n - 1, *([-1] * (n - 1)))
             for orbit_elem in weyl_orbit(extreme):
                 assert entropy_lower_bound(rs, orbit_elem) == conjectured_entropy_bound(

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exact JSON payloads, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +42,20 @@ def test_bound_with_horizon_constant(capsys):
     )
     assert code == 0
     assert payload["results"]["dispersive_exponent"] == "1"
+
+
+def test_spectrum_and_bound_build_the_spectrum_once(capsys, monkeypatch):
+    import haargap.entropy as entropy
+
+    built = []
+    spectrum = entropy.lyapunov_spectrum
+    for module in (cli, entropy):
+        monkeypatch.setattr(module, "lyapunov_spectrum",
+                            lambda rs, X: built.append(X) or spectrum(rs, X))
+    for command in ("spectrum", "bound"):
+        built.clear()
+        code, _ = run_json(capsys, [command, "--n", "3", "--direction", "2,-1,-1", "--K", "1/3"])
+        assert code == 0 and len(built) == 1, command
 
 
 def test_haar_lp_sl3(capsys):
@@ -490,6 +506,46 @@ def test_unwritable_output_is_invalid_input(tmp_path, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invalid input: cannot write --output")
         assert str(target) in lines[0]
+
+
+def _cli_process(argv, unbuffered: bool, **kwargs) -> subprocess.Popen:
+    """The CLI in a new process, its stdout buffered as by default or unbuffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(haargap.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "haargap", *argv],
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def _assert_stdout_refused(proc, code: int) -> None:
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2, stderr
+    # one line: no traceback, no "Exception ignored" at exit
+    assert len(stderr.splitlines()) == 1, stderr
+    assert stderr.startswith("invalid input: cannot write standard output: ")
+    assert os.strerror(code) in stderr
+
+
+# unbuffered, a write cut short goes unreported and only the next one fails
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_early_is_invalid_input(unbuffered):
+    # the 112 KB payload outgrows the 64 KB pipe, so its write is cut short
+    # when the pipe is closed after the first byte
+    proc = _cli_process(["supports", "--n", "10", "--lattice", "inner"], unbuffered,
+                        stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _assert_stdout_refused(proc, errno.EPIPE)
+
+
+# buffered, the payload is still in the buffer after the failed flush
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_on_a_full_device_is_invalid_input(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["roots", "--n", "3"], unbuffered, stdout=full)
+    _assert_stdout_refused(proc, errno.ENOSPC)
 
 
 def test_missing_subcommand_is_invalid(capsys):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 import util
 from haargap.entropy import (
-    DispersiveQuery,
     conjectured_entropy_bound,
-    dispersive_exponent,
     entropy_lower_bound,
     fast_slow_split,
     haar_entropy,
@@ -124,44 +122,29 @@ def test_component_entropy_cap_refuses_a_partition_of_another_n():
 
 
 def test_fast_slow_split_examples():
-    rs = build_type_a(3)
-    X = cartan(2, -1, -1)
-    split = fast_slow_split(rs, X, Fraction(1, 3))
+    spec = lyapunov_spectrum(build_type_a(3), cartan(2, -1, -1))
+    split = fast_slow_split(spec, Fraction(1, 3))
     assert split.threshold == Fraction(3, 2)
     assert split.slow_indices == (0,) and split.J0 == 1
     assert split.fast_indices == (1, 2)
-    huge = fast_slow_split(rs, X, Fraction(10**9))
-    assert split.J == huge.J == 3
+    huge = fast_slow_split(spec, Fraction(10**9))
+    assert spec.J == len(huge.slow_indices) + len(huge.fast_indices) == 3
     assert huge.fast_indices == (1, 2)  # the zero exponent stays slow
-    tiny = fast_slow_split(rs, X, Fraction(1, 10**9))
-    assert tiny.J0 == tiny.J == 3 and tiny.fast_indices == ()
+    tiny = fast_slow_split(spec, Fraction(1, 10**9))
+    assert tiny.J0 == spec.J == 3 and tiny.fast_indices == ()
 
 
 def test_fast_slow_split_rejects_nonpositive_K():
-    rs = build_type_a(3)
-    for K in (0, Fraction(-1, 2)):
-        with pytest.raises(ValueError):
-            fast_slow_split(rs, cartan(2, -1, -1), K)
-    with pytest.raises(ValueError):
-        DispersiveQuery(Fraction(0), cartan(2, -1, -1))
+    spec = lyapunov_spectrum(build_type_a(3), cartan(2, -1, -1))
+    for K in (0, Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="K must be positive"):
+            fast_slow_split(spec, K)
 
 
 def test_dispersive_exponent_examples():
-    rs = build_type_a(3)
-    X = cartan(2, -1, -1)
-    assert dispersive_exponent(DispersiveQuery(Fraction(1, 3), X), rs) == 1
-    assert dispersive_exponent(DispersiveQuery(Fraction(1, 10**9), X), rs) == 0
-
-
-def test_dispersive_exponent_builds_the_spectrum_once(monkeypatch):
-    import haargap.entropy as entropy_module
-
-    built = []
-    spectrum = entropy_module.lyapunov_spectrum
-    monkeypatch.setattr(entropy_module, "lyapunov_spectrum",
-                        lambda rs, X: built.append(X) or spectrum(rs, X))
-    assert dispersive_exponent(DispersiveQuery(Fraction(1, 3), cartan(2, -1, -1)), build_type_a(3)) == 1
-    assert len(built) == 1
+    spec = lyapunov_spectrum(build_type_a(3), cartan(2, -1, -1))
+    assert fast_slow_split(spec, Fraction(1, 3)).dispersive_exponent == 1
+    assert fast_slow_split(spec, Fraction(1, 10**9)).dispersive_exponent == 0
 
 
 def test_bridge_identity_random_dominant():
@@ -174,9 +157,9 @@ def test_bridge_identity_random_dominant():
             if X.is_zero():
                 continue
             count += 1
-            chi_max = lyapunov_spectrum(rs, X).chi_max
-            E = dispersive_exponent(DispersiveQuery(1 / chi_max, X), rs)
-            assert E * chi_max == entropy_lower_bound(rs, X)
+            spec = lyapunov_spectrum(rs, X)
+            E = fast_slow_split(spec, 1 / spec.chi_max).dispersive_exponent
+            assert E * spec.chi_max == entropy_lower_bound(rs, X)
 
 
 def test_weyl_invariance_of_bounds():

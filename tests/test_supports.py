@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haargap.roots import build_type_a, cartan
-from haargap.supports import CapacityError, enumerate_block_partitions, enumerate_symmetric_closed
+from haargap.supports import (
+    BlockPartitions,
+    CapacityError,
+    enumerate_block_partitions,
+    enumerate_symmetric_closed,
+)
 from util import (
     SupportSet,
     closure_of,
@@ -165,6 +170,14 @@ def test_block_partitions_input_validation():
         enumerate_block_partitions(1)
     with pytest.raises(CapacityError, match="12"):
         enumerate_block_partitions(13)
+
+
+def test_block_partitions_checks_its_limits_when_made():
+    # made directly, the walk is refused as through enumerate_block_partitions
+    with pytest.raises(ValueError, match="need n >= 2"):
+        BlockPartitions(1)
+    with pytest.raises(CapacityError, match="limit of 12"):
+        BlockPartitions(13)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 11])
