@@ -100,13 +100,6 @@ class RootSystem:
     def positive_roots(self) -> tuple[Root, ...]:
         return tuple(self.roots[k] for k in self.positive_indices)
 
-    def full_mask(self) -> int:
-        return (1 << len(self.roots)) - 1
-
-    def pair_mask(self, i: int, j: int) -> int:
-        """Bitmask of the symmetric pair {alpha_ij, alpha_ji}."""
-        return (1 << self.index_of[(i, j)]) | (1 << self.index_of[(j, i)])
-
 
 def build_type_a(n: int) -> RootSystem:
     """Construct the A_{n-1} root system for SL_n.
@@ -185,12 +178,3 @@ def dominant_representative(X: CartanElement) -> CartanElement:
 def is_regular(X: CartanElement) -> bool:
     """True iff no root vanishes on X, i.e. all coordinates are pairwise distinct."""
     return len(set(X.coords)) == len(X.coords)
-
-
-def apply_permutation(X: CartanElement, perm: Sequence[int]) -> CartanElement:
-    """Weyl action on Cartan elements: position perm[k] receives coordinate k (0-based perm)."""
-    coords = [Fraction(0)] * len(X.coords)
-    for k, p in enumerate(perm):
-        coords[p] = X.coords[k]
-    return CartanElement(tuple(coords))
-

@@ -84,6 +84,12 @@ MUTANTS = {
         "    def work(terms):\n        todo = iter(range(len(hbars)))\n",
         "tests/test_cotlar_stein.py",
     ),
+    "QR-reduced cross norms in the wrong row sum": (
+        "cotlar_stein.py",
+        "    for products in (direct, reduced) if rows >= cols else (reduced, direct):\n",
+        "    for products in (direct, reduced):\n",
+        "tests/test_cotlar_stein.py",
+    ),
     "generic supports left unsorted": (
         "supports.py",
         "    found.sort(key=lambda p: (p.mask.bit_count(), p.mask))\n",

@@ -36,9 +36,16 @@ from haargap.rigidity import (
     min_haar_weight,
     solve_min_haar,
 )
-from haargap.roots import apply_permutation, build_type_a, cartan, weyl_orbit
+from haargap.roots import build_type_a, cartan, weyl_orbit
 from haargap.supports import enumerate_block_partitions, enumerate_symmetric_closed
-from util import brute_force_lp_minimum, random_permutation, random_trace_zero
+from util import (
+    apply_permutation,
+    brute_force_lp_minimum,
+    full_mask,
+    pair_mask,
+    random_permutation,
+    random_trace_zero,
+)
 
 
 @contextmanager
@@ -120,7 +127,7 @@ def test_criterion_6_support_enumeration():
     with criterion(6, "A_2 five supports; A_3 matches the 64-mask filter; block counts match"):
         rs3 = build_type_a(3)
         got = enumerate_symmetric_closed(rs3)
-        expected = {0, rs3.pair_mask(1, 2), rs3.pair_mask(1, 3), rs3.pair_mask(2, 3), rs3.full_mask()}
+        expected = {0, pair_mask(rs3, 1, 2), pair_mask(rs3, 1, 3), pair_mask(rs3, 2, 3), full_mask(rs3)}
         assert {s.mask for s in got} == expected and len(got) == 5
 
         rs4 = build_type_a(4)

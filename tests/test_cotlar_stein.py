@@ -369,18 +369,23 @@ def test_validation_suite_joins_every_executor_it_starts(monkeypatch):
     assert len(started) == 3 and all(e.joined for e in started)
 
 
-def _gram_norm(M):
-    return math.sqrt(max(np.linalg.eigvalsh(M.conj().T @ M)[-1], 0.0))
+def _svd_norm(M):
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def test_cotlar_cross_norms_match_per_pair_oracle():
-    # batched SVDs over the pairs a < b against one Gram eigensolve per ordered
-    # pair, on tall, wide and square families of 1, 2, 12 and other sizes
+    # QR-reduced Gram eigenvalues over the pairs a < b against one full SVD per
+    # ordered pair, on tall, wide and square families of 1, 2, 12 and other
+    # sizes; a zero member has Gram eigenvalues exactly 0, the clamp's edge
+    with_zero = MatrixFamily.random_gaussian(4, 6, 3, seed=15).members
     families = seeded_family_corpus(seed=0, count=10) + [
         MatrixFamily.random_gaussian(1, 7, 3, seed=11),
         MatrixFamily.random_gaussian(2, 3, 9, seed=12),
         MatrixFamily.random_gaussian(12, 10, 4, seed=13),
         MatrixFamily.random_gaussian(12, 5, 8, seed=14),
+        MatrixFamily.random_gaussian(12, 16, 2, seed=16),
+        MatrixFamily.random_gaussian(12, 2, 16, seed=17),
+        MatrixFamily(with_zero[:2] + (np.zeros((6, 3)),) + with_zero[2:]),
         orthogonal_projector_family(4, 2),
     ]
     signs, sizes = set(), set()
@@ -389,14 +394,14 @@ def test_cotlar_cross_norms_match_per_pair_oracle():
         rows, cols = fam.shape
         signs.add(np.sign(rows - cols))
         sizes.add(len(members))
-        R1 = max(sum(math.sqrt(_gram_norm(a.conj().T @ b)) for b in members) for a in members)
-        R2 = max(sum(math.sqrt(_gram_norm(a @ b.conj().T)) for b in members) for a in members)
-        lhs = _gram_norm(sum(members))
+        R1 = max(sum(math.sqrt(_svd_norm(a.conj().T @ b)) for b in members) for a in members)
+        R2 = max(sum(math.sqrt(_svd_norm(a @ b.conj().T)) for b in members) for a in members)
+        lhs = _svd_norm(sum(members))
         check = cotlar_bound_check(fam)
         assert check.R1 == pytest.approx(R1, rel=1e-12)
         assert check.R2 == pytest.approx(R2, rel=1e-12)
         assert check.lhs == pytest.approx(lhs, rel=1e-12)
-        assert check.trivial_sum == pytest.approx(sum(map(_gram_norm, members)), rel=1e-12)
+        assert check.trivial_sum == pytest.approx(sum(map(_svd_norm, members)), rel=1e-12)
         assert check.holds == (lhs <= max(R1, R2) * (1.0 + TOLERANCES.bound_slack))
         assert check.holds
     assert {-1, 0, 1} <= signs

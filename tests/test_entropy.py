@@ -17,22 +17,29 @@ from haargap.entropy import (
 )
 from haargap.roots import (
     CartanElement,
-    apply_permutation,
     build_type_a,
     cartan,
     dominant_representative,
     weyl_orbit,
 )
 from haargap.supports import Partition
-from util import component_entropy_cap, make_support, random_permutation, random_trace_zero
+from util import (
+    apply_permutation,
+    component_entropy_cap,
+    full_mask,
+    make_support,
+    pair_mask,
+    random_permutation,
+    random_trace_zero,
+)
 
 
 def pair_support(rs, i, j):
-    return make_support(rs, rs.pair_mask(i, j))
+    return make_support(rs, pair_mask(rs, i, j))
 
 
 def full_support(rs):
-    return make_support(rs, rs.full_mask())
+    return make_support(rs, full_mask(rs))
 
 
 def empty_support(rs):
@@ -106,7 +113,7 @@ def test_component_entropy_cap_is_orbit_resolved():
 
 def test_component_entropy_cap_range_check():
     rs = build_type_a(3)
-    bad = make_support(build_type_a(4), build_type_a(4).full_mask())
+    bad = make_support(build_type_a(4), full_mask(build_type_a(4)))
     with pytest.raises(ValueError):
         component_entropy_cap(rs, bad, cartan(1, 0, -1))
 

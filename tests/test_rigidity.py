@@ -31,8 +31,10 @@ from haargap.supports import CapacityError, enumerate_symmetric_closed
 from util import (
     brute_force_lp_minimum,
     component_entropy_cap,
+    full_mask,
     make_support,
     member_lp,
+    pair_mask,
     shape_lp_minimum,
 )
 
@@ -257,7 +259,7 @@ def test_build_lp_validation_errors():
         build_lp(RigidityProblem(rs, supports, directions, F(3, 2)))
     with pytest.raises(ValueError, match="bound mode"):
         build_lp(RigidityProblem(rs, supports, directions, F(1, 2), "nonsense"))
-    not_closed = make_support(rs, rs.pair_mask(1, 2) | rs.pair_mask(1, 3))
+    not_closed = make_support(rs, pair_mask(rs, 1, 2) | pair_mask(rs, 1, 3))
     with pytest.raises(ValueError, match="Partition"):
         build_lp(RigidityProblem(rs, supports + (not_closed,), directions, F(1, 2)))
 
@@ -283,7 +285,7 @@ def test_solve_lp_single_support_families():
     # with Δ alone, the total-mass equality pins w_Δ = 1; adding ∅ lets the
     # entropy constraint bind instead and the optimum drops to 1/2
     rs = build_type_a(3)
-    delta = make_support(rs, rs.full_mask())
+    delta = make_support(rs, full_mask(rs))
     empty = make_support(rs, 0)
     directions = default_test_directions(3)
     only_delta = build_lp(RigidityProblem(rs, (delta,), directions, F(1, 2)))
@@ -310,7 +312,7 @@ def test_solve_lp_beta_one_forces_full_weight(n):
 def test_solve_lp_infeasible_status():
     # a hand-built model whose single constraint exceeds what Δ can deliver
     rs = build_type_a(3)
-    delta = make_support(rs, rs.full_mask())
+    delta = make_support(rs, full_mask(rs))
     X = cartan(2, -1, -1)
     model = LPModel(
         variables=(delta.label,),
@@ -371,7 +373,7 @@ def test_extremal_vertex_report_sl3_and_delta_only():
     assert report.haar_weight == F(1, 4)
 
     rs = build_type_a(3)
-    delta = make_support(rs, rs.full_mask())
+    delta = make_support(rs, full_mask(rs))
     model = build_lp(RigidityProblem(rs, (delta,), default_test_directions(3), F(1, 2)))
     report = extremal_vertex_report(solve_lp(model))
     assert [e[0] for e in report.entries] == ["Δ"]

@@ -11,7 +11,6 @@ from haargap.roots import (
     ROOT_SYSTEM_MAX_N,
     CapacityError,
     CartanElement,
-    apply_permutation,
     build_type_a,
     cartan,
     dominant_representative,
@@ -20,6 +19,7 @@ from haargap.roots import (
     weyl_orbit,
 )
 from util import (
+    apply_permutation,
     closure_of,
     negation,
     permute_root,

@@ -18,9 +18,11 @@ from util import (
     SupportSet,
     closure_of,
     component_entropy_cap,
+    full_mask,
     is_admissible,
     is_symmetric_mask,
     make_support,
+    pair_mask,
     support_indices,
 )
 
@@ -62,10 +64,10 @@ def test_a2_supports_exactly_five():
     got = enumerate_symmetric_closed(rs)
     expected_masks = [
         0,
-        rs.pair_mask(1, 2),
-        rs.pair_mask(1, 3),
-        rs.pair_mask(2, 3),
-        rs.full_mask(),
+        pair_mask(rs, 1, 2),
+        pair_mask(rs, 1, 3),
+        pair_mask(rs, 2, 3),
+        full_mask(rs),
     ]
     assert [s.mask for s in got] == sorted(expected_masks, key=lambda m: (m.bit_count(), m))
     assert [s.label for s in got] == ["∅", "{±α_12}", "{±α_13}", "{±α_23}", "Δ"]
@@ -208,10 +210,10 @@ def test_block_partitions_subset_of_generic(n):
 
 def test_is_admissible_examples():
     rs3 = build_type_a(3)
-    not_closed = make_support(rs3, rs3.pair_mask(1, 2) | rs3.pair_mask(1, 3))
+    not_closed = make_support(rs3, pair_mask(rs3, 1, 2) | pair_mask(rs3, 1, 3))
     assert not is_admissible(rs3, not_closed)
     rs4 = build_type_a(4)
-    two_pairs = make_support(rs4, rs4.pair_mask(1, 2) | rs4.pair_mask(3, 4))
+    two_pairs = make_support(rs4, pair_mask(rs4, 1, 2) | pair_mask(rs4, 3, 4))
     assert is_admissible(rs4, two_pairs)
     lone = make_support(rs3, 1 << rs3.index_of[(1, 2)])
     assert not is_admissible(rs3, lone)
@@ -248,7 +250,7 @@ def test_closure_fixpoint():
     for s in enumerate_symmetric_closed(rs):
         assert closure_of(rs, s.mask) == s.mask
     # and closures of arbitrary masks are themselves closed
-    probe = rs.pair_mask(1, 2) | rs.pair_mask(2, 3)
+    probe = pair_mask(rs, 1, 2) | pair_mask(rs, 2, 3)
     closed = closure_of(rs, probe)
     assert closed != probe
     assert closure_of(rs, closed) == closed
@@ -259,13 +261,13 @@ def test_make_support_labels_unicode_cases():
     three_one = enumerate_symmetric_closed(rs)[10]
     assert three_one.kind == "block-partition"
     assert three_one.label.startswith("blocks {")
-    pair = make_support(rs, rs.pair_mask(2, 4))
+    pair = make_support(rs, pair_mask(rs, 2, 4))
     assert (pair.kind, pair.label) == ("pair", "{±α_24}")
     assert make_support(rs, three_one.mask) == three_one
-    two_pairs = make_support(rs, rs.pair_mask(1, 3) | rs.pair_mask(2, 4))
+    two_pairs = make_support(rs, pair_mask(rs, 1, 3) | pair_mask(rs, 2, 4))
     assert (two_pairs.kind, two_pairs.label) == ("block-partition", "blocks {1,3}{2,4}")
     rs3 = build_type_a(3)
-    other = make_support(rs3, rs3.pair_mask(1, 2) | rs3.pair_mask(1, 3))
+    other = make_support(rs3, pair_mask(rs3, 1, 2) | pair_mask(rs3, 1, 3))
     assert (other.kind, other.label) == ("other", "{±α_12, ±α_13}")
 
 

@@ -62,6 +62,24 @@ def permute_root(rs: RootSystem, alpha: Root, perm: Sequence[int]) -> Root:
     return rs.root(perm[alpha.i - 1] + 1, perm[alpha.j - 1] + 1)
 
 
+def apply_permutation(X: CartanElement, perm: Sequence[int]) -> CartanElement:
+    """Weyl action on Cartan elements: position perm[k] receives coordinate k (0-based perm)."""
+    coords = [Fraction(0)] * len(X.coords)
+    for k, p in enumerate(perm):
+        coords[p] = X.coords[k]
+    return CartanElement(tuple(coords))
+
+
+def full_mask(rs: RootSystem) -> int:
+    """Bitmask of every root."""
+    return (1 << len(rs)) - 1
+
+
+def pair_mask(rs: RootSystem, i: int, j: int) -> int:
+    """Bitmask of the symmetric pair {alpha_ij, alpha_ji}."""
+    return (1 << rs.index_of[(i, j)]) | (1 << rs.index_of[(j, i)])
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """A root subset given as a bitmask: make_support's answer for a non-partition mask."""
