@@ -84,6 +84,18 @@ MUTANTS = {
         "    def work(terms):\n        todo = iter(range(len(hbars)))\n",
         "tests/test_cotlar_stein.py",
     ),
+    "odd phase mirrored without negating the imaginary part": (
+        "cotlar_stein.py",
+        "np.multiply(source.imag, mirror, out=tail.imag)",
+        "np.multiply(source.imag, abs(mirror), out=tail.imag)",
+        "tests/test_cotlar_stein.py",
+    ),
+    "mirrored tail shifted by one entry": (
+        "cotlar_stein.py",
+        "terms[: n - m][::-1]",
+        "terms[1 : n - m + 1][::-1]",
+        "tests/test_cotlar_stein.py",
+    ),
     "QR-reduced cross norms in the wrong row sum": (
         "cotlar_stein.py",
         "    for products in (direct, reduced) if rows >= cols else (reduced, direct):\n",

@@ -201,35 +201,86 @@ def _simpson_weights(grid):
     return weights * ((grid[1] - grid[0]) / 3.0)
 
 
+def _perturbed_even_phase(x):
+    # one entry of the tail, where the amplitude is far from 0, moved off x^2/2
+    phase = x**2 / 2.0
+    phase[3 * len(x) // 4] += 1e-6
+    return phase
+
+
+# mirrored: whether the phase is exactly even or odd about the grid's middle
+# entry, so that np.exp sees only its first (N+1)//2 points; None where that
+# rests on libm's sin being exactly odd
 @pytest.mark.parametrize(
-    "problem",
+    "problem, mirrored",
     [
-        OscillatoryProblem.from_functions(lambda x: x, smooth_bump),
-        OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump),
-        OscillatoryProblem.from_functions(
-            lambda x: np.sin(3 * x),
-            smooth_bump,
-            hbar_values=(0.2, 0.1, 0.05),
-            num_points=2**10 + 1,
+        (OscillatoryProblem.from_functions(lambda x: x, smooth_bump), True),
+        (OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump), True),
+        (
+            OscillatoryProblem.from_functions(
+                lambda x: np.sin(3 * x),
+                smooth_bump,
+                hbar_values=(0.2, 0.1, 0.05),
+                num_points=2**10 + 1,
+            ),
+            None,
         ),
         # short quadratures on a long ladder, so that the helper thread and the
         # calling thread each claim some of them, and not the same ones each call
-        OscillatoryProblem.from_functions(
-            lambda x: np.sin(3 * x),
-            smooth_bump,
-            hbar_values=tuple(np.geomspace(0.2, 0.05, 40)),
-            num_points=2**10 + 1,
+        (
+            OscillatoryProblem.from_functions(
+                lambda x: np.sin(3 * x),
+                smooth_bump,
+                hbar_values=tuple(np.geomspace(0.2, 0.05, 40)),
+                num_points=2**10 + 1,
+            ),
+            None,
+        ),
+        (OscillatoryProblem.from_functions(lambda x: x + x**2 / 2.0, smooth_bump), False),
+        (OscillatoryProblem.from_functions(_perturbed_even_phase, smooth_bump), False),
+        # both even and odd
+        (OscillatoryProblem.from_functions(np.zeros_like, smooth_bump), True),
+        # the smallest grids: a one-entry tail, and a two-entry tail of which
+        # one entry has a nonzero amplitude
+        (
+            OscillatoryProblem.from_functions(
+                lambda x: x, smooth_bump, hbar_values=(8.0, 4.0), num_points=3
+            ),
+            True,
+        ),
+        (
+            OscillatoryProblem.from_functions(
+                lambda x: x, smooth_bump, hbar_values=(4.0, 2.0), num_points=5
+            ),
+            True,
         ),
     ],
-    ids=["nonstationary", "stationary", "short-grid", "long-ladder"],
+    ids=[
+        "nonstationary", "stationary", "short-grid", "long-ladder", "asymmetric",
+        "perturbed-even", "zero", "3-point", "5-point",
+    ],
 )
-def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem, request, monkeypatch):
+def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem, mirrored, request, monkeypatch):
     weights = _simpson_weights(problem.grid)
     expected = tuple(
         float(abs(np.sum(weights * problem.amplitude * np.exp(1j * problem.phase / h))))
         for h in problem.hbar_values
     )
+    # a symmetric phase takes the exp of its first (N+1)//2 points only
+    size = problem.grid.size
+    if mirrored is None:
+        flipped = problem.phase[::-1]
+        mirrored = bool((flipped == problem.phase).all() or (flipped == -problem.phase).all())
+    exp, exp_sizes = np.exp, []
+
+    def counted(*args, **kwargs):
+        exp_sizes.append(np.size(args[0]))
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
     assert oscillatory_decay(problem).magnitudes == expected
+    monkeypatch.undo()
+    assert exp_sizes == [(size + 1) // 2 if mirrored else size] * len(problem.hbar_values)
     # repeated calls, concurrent on more threads than cores and with frequent
     # switches, divide the ladder differently each time but give the same floats
     interval = sys.getswitchinterval()
@@ -247,9 +298,9 @@ def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem, request, 
     seen = []
     quadrature = cotlar_stein._simpson_sum
 
-    def recorded(weighted, phase, h, terms):
+    def recorded(weighted, phase, h, terms, mirror):
         seen.append((h, threading.get_ident()))
-        return quadrature(weighted, phase, h, terms)
+        return quadrature(weighted, phase, h, terms, mirror)
 
     monkeypatch.setattr(cotlar_stein, "_simpson_sum", recorded)
     assert oscillatory_decay(problem).magnitudes == expected
@@ -257,8 +308,10 @@ def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem, request, 
     assert len({thread for _, thread in seen}) <= 2
 
 
-@pytest.mark.parametrize("phase", [lambda x: x, lambda x: x**2 / 2.0], ids=["nonstationary", "stationary"])
-def test_decay_check_buffers_stay_on_the_calling_thread(phase):
+@pytest.mark.parametrize(
+    "phase, mirror", [(lambda x: x, -1), (lambda x: x**2 / 2.0, 1)], ids=["nonstationary", "stationary"]
+)
+def test_decay_check_buffers_stay_on_the_calling_thread(phase, mirror):
     # the weighted amplitude and two complex scratch buffers, one per thread,
     # make five grids; holding 1j * phase and the phase speeds as well made 7.25
     problem = OscillatoryProblem.from_functions(phase, smooth_bump)
@@ -278,7 +331,7 @@ def test_decay_check_buffers_stay_on_the_calling_thread(phase):
     def quadrature():
         tracemalloc.start()
         try:
-            cotlar_stein._simpson_sum(problem.amplitude, problem.phase, 0.01, terms)
+            cotlar_stein._simpson_sum(problem.amplitude, problem.phase, 0.01, terms, mirror)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -327,7 +380,7 @@ def test_validation_suite_worker_exception_propagates_and_joins(monkeypatch):
         failed = threading.Event()
         late = []
 
-        def quadrature(weighted, phase, h, terms):
+        def quadrature(weighted, phase, h, terms, mirror):
             late.append(failed.is_set())
             on_caller = threading.get_ident() == caller
             if on_caller == (failing_thread == "caller"):

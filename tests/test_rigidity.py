@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from haargap.rigidity import (
     build_lp,
     default_test_directions,
     extremal_vertex_report,
+    extreme_direction,
     inner_weight_formula,
     min_haar_weight,
     rigidity_problem,
@@ -29,12 +31,15 @@ from haargap.rigidity import (
 from haargap.roots import CartanElement, build_type_a, cartan, weyl_orbit
 from haargap.supports import CapacityError, enumerate_symmetric_closed
 from util import (
+    apply_permutation,
     brute_force_lp_minimum,
     component_entropy_cap,
     full_mask,
     make_support,
     member_lp,
     pair_mask,
+    random_permutation,
+    random_trace_zero,
     shape_lp_minimum,
 )
 
@@ -531,6 +536,64 @@ def test_default_lp_matches_shape_closed_form(case, beta, bound_mode):
     else:
         _, _, solution = solve_min_haar(n, lattice, beta, bound_mode=bound_mode)
         assert solution.optimum == expected
+
+
+def generic_optimum(n, directions, beta, bound_mode):
+    _, _, solution = solve_min_haar(
+        n, "generic", beta, bound_mode=bound_mode, test_directions=directions
+    )
+    assert solution.status == "optimal"
+    return solution.optimum
+
+
+def seeded_directions(rng, n):
+    """1-4 nonzero directions: each a rescaled Weyl image of the extreme
+    direction, or one with small random rational coordinates."""
+    directions = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            X = apply_permutation(extreme_direction(n), random_permutation(rng, n))
+            X = X.scaled(F(rng.randint(1, 9), rng.randint(1, 9)))
+        else:
+            X = random_trace_zero(rng, n)
+            while X.is_zero():
+                X = random_trace_zero(rng, n)
+        directions.append(X)
+    return directions
+
+
+# metamorphic relations, for LPs beyond the brute-force oracle's reach
+@pytest.mark.parametrize("seed", range(16))
+def test_optimum_survives_permuting_rescaling_and_repeating_directions(seed):
+    # the set partitions are closed under coordinate permutations, and every
+    # cap and both bounds scale with the direction, so none of these three
+    # changes the feasible region; at generic n >= 4 the thm14 optimum is 0
+    rng = random.Random(seed)
+    n = rng.choice((4, 5))
+    directions = seeded_directions(rng, n)
+    beta = F(rng.randint(6, 12), 12)
+    perm = random_permutation(rng, n)
+    scale = F(rng.randint(1, 9), rng.randint(1, 9))
+    repeated = directions + [rng.choice(directions)]
+    for bound_mode in BOUND_MODES:
+        optimum = generic_optimum(n, directions, beta, bound_mode)
+        permuted = [apply_permutation(X, perm) for X in directions]
+        assert generic_optimum(n, permuted, beta, bound_mode) == optimum
+        rescaled = [X.scaled(scale) for X in directions]
+        assert generic_optimum(n, rescaled, beta, bound_mode) == optimum
+        assert generic_optimum(n, repeated, beta, bound_mode) == optimum
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_haar_fraction_optimum_is_zero_at_zero_nondecreasing_and_convex_in_beta(seed):
+    # v(beta) is an LP value whose right-hand side is linear in beta
+    rng = random.Random(100 + seed)
+    n = rng.choice((4, 5))
+    directions = seeded_directions(rng, n)
+    values = [generic_optimum(n, directions, F(k, 8), BOUND_HAAR_FRACTION) for k in range(9)]
+    assert values[0] == 0
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert all(2 * v <= u + w for u, v, w in zip(values, values[1:], values[2:]))
 
 
 def test_custom_test_directions_override():
