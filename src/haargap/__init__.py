@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 
 # The float layer needs numpy; it is imported when one of its names is first read.
 _FLOAT_NAMES = ("TOLERANCES", "CotlarCheck", "MatrixFamily", "OscillatoryDecay",
-                "OscillatoryProblem", "cotlar_bound_check", "operator_norm", "smooth_bump",
+                "OscillatoryProblem", "cotlar_bound_check", "smooth_bump",
                 "orthogonal_projector_family", "oscillatory_decay", "run_validation_suite")
 
 

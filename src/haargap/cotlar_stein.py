@@ -8,15 +8,16 @@
   support of the amplitude, and only like h^(1/2) at a nondegenerate
   stationary point.
 
-`operator_norm` is the top singular value from LAPACK's SVD (numpy's
-`linalg.svd`).  The family check reads its member and cross norms instead as
+The family check reads every norm it needs, the summed family's included, as
 the square root of the top eigenvalue of a min(rows, cols)-square Gram matrix,
 all from one batched `linalg.eigvalsh`, after one batched QR of the members or
 of their adjoints, whichever are tall; the cross norms are taken over the pairs
 a < b only, since both are symmetric in the pair and the diagonal is the member
-norm.  Against the SVD these norms differ by about 1e-15 relative, far inside
-`bound_slack` and `equality_tol`.  This is the only module that touches
-floating point; every tolerance lives in the single `TOLERANCES` record below.
+norm.  Against an SVD, which only the tests take, these norms differ by about
+1e-15 relative, far inside `bound_slack` and `equality_tol`.  A family with a
+non-finite entry is refused when it is built.  This is the only module that
+touches floating point; every tolerance lives in the single `TOLERANCES` record
+below.
 
 `run_validation_suite` runs the almost-orthogonality checks on a worker thread
 beside the decay checks, and each `oscillatory_decay` claims its h values from
@@ -56,25 +57,9 @@ class NumericTolerances:
 TOLERANCES = NumericTolerances()
 
 
-def operator_norm(M) -> float:
-    """Largest singular value of a dense complex matrix, from LAPACK's SVD.
-
-    Rejects input that is not a 2-d array of finite entries; an empty matrix
-    has norm 0.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A nonempty family of dense complex matrices of identical shape."""
+    """A nonempty family of finite dense complex matrices of one 2-d shape."""
 
     members: tuple
 
@@ -83,8 +68,10 @@ class MatrixFamily:
         if not members:
             raise ValueError("matrix family must be nonempty")
         shape = members[0].shape
-        if any(m.shape != shape for m in members):
-            raise ValueError("matrix family members must share one shape")
+        if len(shape) != 2 or any(m.shape != shape for m in members):
+            raise ValueError("matrix family members must share one 2-d shape")
+        if not all(np.isfinite(m).all() for m in members):
+            raise ValueError("matrix family has non-finite entries")
         object.__setattr__(self, "members", members)
 
     @property
@@ -93,13 +80,9 @@ class MatrixFamily:
 
     @classmethod
     def random_gaussian(cls, num_members: int, rows: int, cols: int, seed: int) -> "MatrixFamily":
-        rng = np.random.default_rng(seed)
-        members = tuple(
-            (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
-            / math.sqrt(2.0)
-            for _ in range(num_members)
-        )
-        return cls(members)
+        # member by member, real part before imaginary: the order of one draw per part
+        parts = np.random.default_rng(seed).standard_normal((num_members, 2, rows, cols))
+        return cls(tuple((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -120,21 +103,24 @@ def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
     reported alongside for comparison.
     """
     stack = np.stack(family.members)
-    # first, so that a non-finite family is rejected before any norm is taken
-    lhs = operator_norm(stack.sum(axis=0))
     rows, cols = family.shape
     # the members or their adjoints, whichever are tall: T_a = Q_a R_a, so
     # T_a^* T_b is min-square and T_a T_b^* has the norm of R_a R_b^*
     tall = stack if rows >= cols else stack.conj().transpose(0, 2, 1)
-    wide = tall.conj().transpose(0, 2, 1)
     r = np.linalg.qr(tall, mode="r")
+    k = len(stack)
+    # the summed family, whose adjoint is the sum of the adjoints, is normed as
+    # member k, which no cross product reads
+    tall = np.concatenate((tall, tall.sum(axis=0, keepdims=True)))
+    wide = tall.conj().transpose(0, 2, 1)
     # entry (a, b) is ||A_a^* A_b||^(1/2), resp. ||A_a A_b^*||^(1/2): symmetric
     # in a and b and ||A_a|| on the diagonal, so only the pairs a < b are normed
-    a, b = np.triu_indices(len(stack), 1)
+    a, b = np.triu_indices(k, 1)
     cross = np.concatenate((wide[a] @ tall[b], r[a] @ r[b].conj().transpose(0, 2, 1)))
     grams = np.concatenate((wide @ tall, cross @ cross.conj().transpose(0, 2, 1)))
-    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0))
-    member_norms, direct, reduced = np.split(norms, [len(stack), len(stack) + len(a)])
+    norms = np.sqrt(np.linalg.eigvalsh(grams)[:, -1])
+    lhs = float(norms[k])
+    member_norms, _, direct, reduced = np.split(norms, [k, k + 1, k + 1 + len(a)])
     row_sums = []
     # T_a^* T_b is A_a^* A_b for a tall family and A_a A_b^* for a wide one
     for products in (direct, reduced) if rows >= cols else (reduced, direct):

@@ -102,6 +102,19 @@ MUTANTS = {
         "    for products in (direct, reduced):\n",
         "tests/test_cotlar_stein.py",
     ),
+    "summed family normed as its first member": (
+        "cotlar_stein.py",
+        "tall.sum(axis=0, keepdims=True)",
+        "tall[:1]",
+        "tests/test_cotlar_stein.py",
+    ),
+    "non-finite members accepted": (
+        "cotlar_stein.py",
+        "        if not all(np.isfinite(m).all() for m in members):\n"
+        "            raise ValueError(\"matrix family has non-finite entries\")\n",
+        "",
+        "tests/test_cotlar_stein.py",
+    ),
     "generic supports left unsorted": (
         "supports.py",
         "    found.sort(key=lambda p: (p.mask.bit_count(), p.mask))\n",

@@ -191,7 +191,7 @@ def test_python_dash_m_runs_the_cli():
 
 FLOAT_NAMES = (
     "TOLERANCES", "CotlarCheck", "MatrixFamily", "OscillatoryDecay", "OscillatoryProblem",
-    "cotlar_bound_check", "operator_norm", "orthogonal_projector_family", "oscillatory_decay",
+    "cotlar_bound_check", "orthogonal_projector_family", "oscillatory_decay",
     "run_validation_suite", "smooth_bump",
 )
 # an unknown name, and the mask-based support helpers kept only in tests/util.py

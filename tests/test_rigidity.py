@@ -538,19 +538,19 @@ def test_default_lp_matches_shape_closed_form(case, beta, bound_mode):
         assert solution.optimum == expected
 
 
-def generic_optimum(n, directions, beta, bound_mode):
+def lp_optimum(lattice, n, directions, beta, bound_mode):
     _, _, solution = solve_min_haar(
-        n, "generic", beta, bound_mode=bound_mode, test_directions=directions
+        n, lattice, beta, bound_mode=bound_mode, test_directions=directions
     )
     assert solution.status == "optimal"
     return solution.optimum
 
 
-def seeded_directions(rng, n):
-    """1-4 nonzero directions: each a rescaled Weyl image of the extreme
-    direction, or one with small random rational coordinates."""
+def seeded_directions(rng, n, most=4):
+    """1 to `most` nonzero directions: each a rescaled Weyl image of the
+    extreme direction, or one with small random rational coordinates."""
     directions = []
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, most)):
         if rng.random() < 0.5:
             X = apply_permutation(extreme_direction(n), random_permutation(rng, n))
             X = X.scaled(F(rng.randint(1, 9), rng.randint(1, 9)))
@@ -562,26 +562,40 @@ def seeded_directions(rng, n):
     return directions
 
 
+# (lattice, sizes, most directions, seed): generic n = 4-5 with 1-4 directions,
+# then inner n = 8-12 and generic n = 6, with fewer directions to keep each LP
+# under about 0.1 s
+METAMORPHIC_CASES = (
+    [pytest.param("generic", (4, 5), 4, seed, id=str(seed)) for seed in range(16)]
+    + [pytest.param("inner", (n,), 2, seed, id=f"inner-{n}-{seed}")
+       for n in (8, 9, 10) for seed in range(2)]
+    + [pytest.param("inner", (12,), 1, 0, id="inner-12-0")]
+    # one and three directions
+    + [pytest.param("generic", (6,), 3, seed, id=f"generic-6-{seed}") for seed in (2, 5)]
+)
+
+
 # metamorphic relations, for LPs beyond the brute-force oracle's reach
-@pytest.mark.parametrize("seed", range(16))
-def test_optimum_survives_permuting_rescaling_and_repeating_directions(seed):
-    # the set partitions are closed under coordinate permutations, and every
-    # cap and both bounds scale with the direction, so none of these three
-    # changes the feasible region; at generic n >= 4 the thm14 optimum is 0
+@pytest.mark.parametrize("lattice, sizes, most, seed", METAMORPHIC_CASES)
+def test_optimum_survives_permuting_rescaling_and_repeating_directions(lattice, sizes, most, seed):
+    # both lattices' supports are closed under coordinate permutations, and
+    # every cap and both bounds scale with the direction, so none of these
+    # three changes the feasible region; at generic n >= 4 the thm14 optimum
+    # is 0, at inner n it is not
     rng = random.Random(seed)
-    n = rng.choice((4, 5))
-    directions = seeded_directions(rng, n)
+    n = rng.choice(sizes)
+    directions = seeded_directions(rng, n, most)
     beta = F(rng.randint(6, 12), 12)
     perm = random_permutation(rng, n)
     scale = F(rng.randint(1, 9), rng.randint(1, 9))
     repeated = directions + [rng.choice(directions)]
     for bound_mode in BOUND_MODES:
-        optimum = generic_optimum(n, directions, beta, bound_mode)
+        optimum = lp_optimum(lattice, n, directions, beta, bound_mode)
         permuted = [apply_permutation(X, perm) for X in directions]
-        assert generic_optimum(n, permuted, beta, bound_mode) == optimum
+        assert lp_optimum(lattice, n, permuted, beta, bound_mode) == optimum
         rescaled = [X.scaled(scale) for X in directions]
-        assert generic_optimum(n, rescaled, beta, bound_mode) == optimum
-        assert generic_optimum(n, repeated, beta, bound_mode) == optimum
+        assert lp_optimum(lattice, n, rescaled, beta, bound_mode) == optimum
+        assert lp_optimum(lattice, n, repeated, beta, bound_mode) == optimum
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -590,7 +604,7 @@ def test_haar_fraction_optimum_is_zero_at_zero_nondecreasing_and_convex_in_beta(
     rng = random.Random(100 + seed)
     n = rng.choice((4, 5))
     directions = seeded_directions(rng, n)
-    values = [generic_optimum(n, directions, F(k, 8), BOUND_HAAR_FRACTION) for k in range(9)]
+    values = [lp_optimum("generic", n, directions, F(k, 8), BOUND_HAAR_FRACTION) for k in range(9)]
     assert values[0] == 0
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(2 * v <= u + w for u, v, w in zip(values, values[1:], values[2:]))
