@@ -14,10 +14,11 @@ all from one batched `linalg.eigvalsh`, after one batched QR of the members or
 of their adjoints, whichever are tall; the cross norms are taken over the pairs
 a < b only, since both are symmetric in the pair and the diagonal is the member
 norm.  Against an SVD, which only the tests take, these norms differ by about
-1e-15 relative, far inside `bound_slack` and `equality_tol`.  A family with a
-non-finite entry is refused when it is built.  This is the only module that
-touches floating point; every tolerance lives in the single `TOLERANCES` record
-below.
+1e-15 relative, far inside `bound_slack` and `equality_tol`.  A family is one
+complex array of shape (members, rows, cols), checked once when it is built:
+ragged, zero-size or non-finite input is refused there.  This is the only module
+that touches floating point; every tolerance lives in the single `TOLERANCES`
+record below.
 
 `run_validation_suite` runs the almost-orthogonality checks on a worker thread
 beside the decay checks, and each `oscillatory_decay` claims its h values from
@@ -59,30 +60,27 @@ TOLERANCES = NumericTolerances()
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A nonempty family of finite dense complex matrices of one 2-d shape."""
+    """A nonempty family of finite dense complex matrices, as one (k, rows, cols) array."""
 
-    members: tuple
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        members = tuple(np.asarray(m, dtype=complex) for m in self.members)
-        if not members:
-            raise ValueError("matrix family must be nonempty")
-        shape = members[0].shape
-        if len(shape) != 2 or any(m.shape != shape for m in members):
-            raise ValueError("matrix family members must share one 2-d shape")
-        if not all(np.isfinite(m).all() for m in members):
+        members = np.asarray(self.members, dtype=complex)  # ragged input raises here
+        if members.ndim != 3 or members.size == 0:
+            raise ValueError("matrix family must be one or more nonempty matrices of one 2-d shape")
+        if not np.isfinite(members).all():
             raise ValueError("matrix family has non-finite entries")
         object.__setattr__(self, "members", members)
 
     @property
     def shape(self):
-        return self.members[0].shape
+        return self.members.shape[1:]
 
     @classmethod
     def random_gaussian(cls, num_members: int, rows: int, cols: int, seed: int) -> "MatrixFamily":
         # member by member, real part before imaginary: the order of one draw per part
         parts = np.random.default_rng(seed).standard_normal((num_members, 2, rows, cols))
-        return cls(tuple((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0)))
+        return cls((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -102,13 +100,13 @@ def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
     to the configured slack.  The much cruder triangle-inequality bound is
     reported alongside for comparison.
     """
-    stack = np.stack(family.members)
+    members = family.members
     rows, cols = family.shape
     # the members or their adjoints, whichever are tall: T_a = Q_a R_a, so
     # T_a^* T_b is min-square and T_a T_b^* has the norm of R_a R_b^*
-    tall = stack if rows >= cols else stack.conj().transpose(0, 2, 1)
+    tall = members if rows >= cols else members.conj().transpose(0, 2, 1)
     r = np.linalg.qr(tall, mode="r")
-    k = len(stack)
+    k = len(members)
     # the summed family, whose adjoint is the sum of the adjoints, is normed as
     # member k, which no cross product reads
     tall = np.concatenate((tall, tall.sum(axis=0, keepdims=True)))
@@ -135,13 +133,10 @@ def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
 def orthogonal_projector_family(num_blocks: int, block_size: int) -> MatrixFamily:
     """Indicator-block projectors with mutually orthogonal ranges."""
     dim = num_blocks * block_size
-    members = []
-    for b in range(num_blocks):
-        m = np.zeros((dim, dim), dtype=complex)
-        sl = slice(b * block_size, (b + 1) * block_size)
-        m[sl, sl] = np.eye(block_size)
-        members.append(m)
-    return MatrixFamily(tuple(members))
+    members = np.zeros((num_blocks, dim, dim), dtype=complex)
+    i = np.arange(dim)
+    members[i // block_size, i, i] = 1
+    return MatrixFamily(members)
 
 
 def smooth_bump(x: np.ndarray) -> np.ndarray:

@@ -6,13 +6,16 @@ Usage (stdlib only; the paired modules need pytest):
     python tests/mutants.py NAME ...   # only the named ones
 
 Each mutant is one exact-text replacement in one file of `src/haargap`,
-paired with the test module that must catch it.  For each, `src/` is copied
-to a temporary directory, the replacement is made in the copy, and the paired
-module runs with `pytest -x -q` against it.  The mutant is killed when pytest
-reports failed tests or errors.  One line per mutant is printed, with the
-first test that failed; the exit code is 1 if any mutant survived or could
-not be applied.  The repository's own files are never changed.  The file
-name keeps it out of pytest's default collection, so tier-1 does not run it.
+paired with the test known to catch it, and through it with that test's
+module.  For each, `src/` is copied to a temporary directory, the replacement
+is made in the copy, and `pytest -x -q <test> <module>` runs against it: the
+known test first, then, if it passes, the whole module, so the check stays
+module-wide.  The mutant is killed when pytest reports failed tests or errors.
+One line per mutant is printed, with the first test that failed, and a summary
+line with the total seconds; the exit code is 1 if any mutant survived or
+could not be applied.  The repository's own files are never changed.  The
+file name keeps it out of pytest's default collection, so tier-1 does not run
+it.
 """
 
 from __future__ import annotations
@@ -27,141 +30,148 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# name: (file in src/haargap, exact old text, new text, paired test module)
+# name: (file in src/haargap, exact old text, new text, known killing test)
 MUTANTS = {
     "ratio-test ties broken by row": (
         "simplex.py",
         "(num * best_den, basis[i]) < (best_num * den, basis[best])",
         "(num * best_den, i) < (best_num * den, best)",
-        "tests/test_simplex.py",
+        "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
     ),
     "Bland's entering column taken from the end": (
         "simplex.py",
         "col = next((j for j in range(width) if z[j] < 0), None)",
         "col = next((j for j in reversed(range(width)) if z[j] < 0), None)",
-        "tests/test_simplex.py",
+        "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
     ),
     "build_lp lane one bit short": (
         "rigidity.py",
         "for x in scaled).bit_length()",
         "for x in scaled).bit_length() - 1",
-        "tests/test_rigidity.py",
+        "tests/test_rigidity.py::test_build_lp_sl3_shape_and_first_constraint",
     ),
     "verify_solution without its objective check": (
         "rigidity.py",
         "    return value == solution.optimum\n",
         "    return True\n",
-        "tests/test_rigidity.py",
+        "tests/test_rigidity.py::test_verify_solution_rejects_a_wrong_optimum",
     ),
     "claim without the stop check": (
         "cotlar_stein.py",
         "i = None if stop else next(todo, None)",
         "i = next(todo, None)",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_validation_suite_worker_exception_propagates_and_joins",
     ),
     "failure that does not set stop": (
         "cotlar_stein.py",
         "                stop.append(None)\n",
         # only a loop that ran out of h values sets it
         "                stop.extend([None] if i is None else [])\n",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_validation_suite_worker_exception_propagates_and_joins",
     ),
     "one scratch buffer for both threads": (
         "cotlar_stein.py",
         "helper = pool.submit(work, spare)",
         "helper = pool.submit(work, own)",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_oscillatory_zero_amplitude",
     ),
     "helper.result() dropped": (
         "cotlar_stein.py",
         "        work(own)\n        helper.result()\n",
         "        work(own)\n",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_validation_suite_worker_exception_propagates_and_joins",
     ),
     "each thread walks the whole ladder": (
         "cotlar_stein.py",
         "    def work(terms):\n",
         "    def work(terms):\n        todo = iter(range(len(hbars)))\n",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::"
+        "test_quadrature_matches_one_expression_oracle_bit_for_bit[nonstationary]",
     ),
     "odd phase mirrored without negating the imaginary part": (
         "cotlar_stein.py",
         "np.multiply(source.imag, mirror, out=tail.imag)",
         "np.multiply(source.imag, abs(mirror), out=tail.imag)",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_oscillatory_nonstationary_phase_decays_fast",
     ),
     "mirrored tail shifted by one entry": (
         "cotlar_stein.py",
         "terms[: n - m][::-1]",
         "terms[1 : n - m + 1][::-1]",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_oscillatory_nonstationary_phase_decays_fast",
     ),
     "QR-reduced cross norms in the wrong row sum": (
         "cotlar_stein.py",
         "    for products in (direct, reduced) if rows >= cols else (reduced, direct):\n",
         "    for products in (direct, reduced):\n",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_cotlar_cross_norms_match_per_pair_oracle",
     ),
     "summed family normed as its first member": (
         "cotlar_stein.py",
         "tall.sum(axis=0, keepdims=True)",
         "tall[:1]",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_cotlar_cross_norms_match_per_pair_oracle",
     ),
     "non-finite members accepted": (
         "cotlar_stein.py",
-        "        if not all(np.isfinite(m).all() for m in members):\n"
+        "        if not np.isfinite(members).all():\n"
         "            raise ValueError(\"matrix family has non-finite entries\")\n",
         "",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_matrix_family_refuses_non_finite_members",
+    ),
+    "zero-size family accepted": (
+        "cotlar_stein.py",
+        "if members.ndim != 3 or members.size == 0:",
+        "if members.ndim != 3:",
+        "tests/test_cotlar_stein.py::test_matrix_family_refuses_zero_size",
     ),
     "generic supports left unsorted": (
         "supports.py",
         "    found.sort(key=lambda p: (p.mask.bit_count(), p.mask))\n",
         "",
-        "tests/test_supports.py",
+        "tests/test_supports.py::test_a2_supports_exactly_five",
     ),
     "haar-lp solves before it renders the constraints": (
         "cli.py",
         "    num_variables = len(model.group_of)\n",
         "    solution = solve_lp(model)\n    num_variables = len(model.group_of)\n",
-        "tests/test_cli.py",
+        "tests/test_cli.py::test_unprintable_results_are_refused_with_the_cli_message",
     ),
     "sums check without its n = 1 floor": (
         "cli.py",
         "if max(n * (n - 1), 1) * max(",
         "if n * (n - 1) * max(",
-        "tests/test_cli.py",
+        "tests/test_cli.py::test_unprintable_values_are_refused_before_any_work",
     ),
     "K = 0 let through the split": (
         "entropy.py",
         "    if K <= 0:\n",
         "    if K < 0:\n",
-        "tests/test_entropy.py",
+        "tests/test_entropy.py::test_fast_slow_split_rejects_nonpositive_K",
     ),
     "dispersive exponent without its - 1/2": (
         "entropy.py",
         "K * spec.values[i] - Fraction(1, 2) for i in fast",
         "K * spec.values[i] for i in fast",
-        "tests/test_entropy.py",
+        "tests/test_entropy.py::test_dispersive_exponent_examples",
     ),
     "failed stdout write not caught": (
         "cli.py",
         "    except OSError as exc:\n        if not args.output:\n",
         "    except OSError as exc:\n        if not args.output:\n            raise\n",
-        "tests/test_cli.py",
+        "tests/test_cli.py::test_stdout_closed_early_is_invalid_input",
     ),
     "unwritten stdout left for the exit flush": (
         "cli.py",
         "                os.dup2(devnull.fileno(), sys.stdout.fileno())\n",
         "                pass\n",
-        "tests/test_cli.py",
+        "tests/test_cli.py::test_stdout_on_a_full_device_is_invalid_input",
     ),
     "BlockPartitions without its limit check": (
         "supports.py",
         "        if self.n > BLOCK_PARTITION_LIMIT:\n",
         "        if False:\n",
-        "tests/test_supports.py",
+        "tests/test_supports.py::test_block_partitions_input_validation",
     ),
     "validation executor never shut down": (
         "cotlar_stein.py",
@@ -170,12 +180,12 @@ MUTANTS = {
         "    pool = ThreadPoolExecutor(max_workers=1)\n"
         "    if True:\n"
         "        cotlar = pool.submit(_cotlar_checks, seed)\n",
-        "tests/test_cotlar_stein.py",
+        "tests/test_cotlar_stein.py::test_validation_suite_joins_every_executor_it_starts",
     ),
 }
 
 
-def run_mutant(filename: str, old: str, new: str, tests: str) -> str:
+def run_mutant(filename: str, old: str, new: str, test: str) -> str:
     """'killed' and the first failing test, 'SURVIVED', or why it did not run."""
     with tempfile.TemporaryDirectory(prefix="haargap-mutant-") as tmp:
         src = Path(tmp) / "src"
@@ -193,8 +203,11 @@ def run_mutant(filename: str, old: str, new: str, tests: str) -> str:
         )
         if not probe.stdout.startswith(str(src)):
             return f"NOT APPLIED: haargap imports from {probe.stdout.strip() or probe.stderr.strip()}"
+        # without --keep-duplicates pytest folds the test into its module's order
+        module = test.split("::")[0]
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--keep-duplicates", test, module],
             cwd=ROOT, env=env, capture_output=True, text=True,
         )
         # pytest: 1 = tests failed, 2 = errors such as a failed import
@@ -210,13 +223,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
         return 2
-    failed = 0
+    failed, begin = 0, time.perf_counter()
     for name in names or MUTANTS:
         start = time.perf_counter()
         outcome = run_mutant(*MUTANTS[name])
         failed += not outcome.startswith("killed")
         print(f"{time.perf_counter() - start:5.1f} s  {name}: {outcome}", flush=True)
-    print(f"{len(names or MUTANTS) - failed} of {len(names or MUTANTS)} mutants killed")
+    total = len(names or MUTANTS)
+    print(f"{total - failed} of {total} mutants killed in {time.perf_counter() - begin:.1f} s")
     return 1 if failed else 0
 
 

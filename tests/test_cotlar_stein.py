@@ -36,6 +36,41 @@ def test_matrix_family_validation():
         MatrixFamily((np.ones((2, 2, 2)),))
 
 
+@pytest.mark.parametrize(
+    "members",
+    [np.zeros((0, 3, 3)), (np.zeros((3, 0)),) * 2, (np.zeros((0, 3)),)],
+    ids=["no-members", "no-columns", "no-rows"],
+)
+def test_matrix_family_refuses_zero_size(members):
+    # zero rows or columns used to reach the Gram eigenvalues of
+    # `cotlar_bound_check` and fail there with an IndexError
+    with pytest.raises(ValueError, match="nonempty"):
+        cotlar_bound_check(MatrixFamily(members))
+
+
+@pytest.mark.parametrize("container", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+def test_matrix_family_members_are_one_complex_array(container):
+    rng = np.random.default_rng(5)
+    matrices = [rng.standard_normal((4, 3)) for _ in range(3)]
+    family = MatrixFamily(container(matrices))
+    assert isinstance(family.members, np.ndarray)
+    assert family.members.dtype == complex
+    assert family.members.shape == (3, 4, 3)
+    assert family.shape == (4, 3)
+    assert np.array_equal(family.members, np.stack(matrices))
+
+
+def test_orthogonal_projectors_equal_the_block_by_block_family():
+    members = []
+    for b in range(4):
+        m = np.zeros((8, 8), dtype=complex)
+        m[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = np.eye(2)
+        members.append(m)
+    family = orthogonal_projector_family(4, 2)
+    assert family.members.shape == (4, 8, 8)
+    assert family.members.tobytes() == np.stack(members).tobytes()
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_matrix_family_refuses_non_finite_members(entry):
     bad = np.eye(3, 2, dtype=complex)
@@ -410,8 +445,11 @@ def test_cotlar_cross_norms_match_per_pair_oracle():
     # QR-reduced Gram eigenvalues over the pairs a < b, and the summed family's
     # Gram eigenvalue, against one full SVD per ordered pair and of the sum, on
     # tall, wide and square families of 1, 2, 12 and other sizes; a zero member
-    # has Gram eigenvalues exactly 0
-    with_zero = MatrixFamily.random_gaussian(4, 6, 3, seed=15).members
+    # has Gram eigenvalues exactly 0.  It goes in with np.insert: on an array,
+    # tuple-style `[:2] + (zero,) + [2:]` adds elementwise and drops it
+    four = MatrixFamily.random_gaussian(4, 6, 3, seed=15).members
+    with_zero = MatrixFamily(np.insert(four, 2, 0, axis=0))
+    assert with_zero.members.shape == (5, 6, 3) and not with_zero.members[2].any()
     families = seeded_family_corpus(seed=0, count=10) + [
         MatrixFamily.random_gaussian(1, 7, 3, seed=11),
         MatrixFamily.random_gaussian(2, 3, 9, seed=12),
@@ -419,7 +457,7 @@ def test_cotlar_cross_norms_match_per_pair_oracle():
         MatrixFamily.random_gaussian(12, 5, 8, seed=14),
         MatrixFamily.random_gaussian(12, 16, 2, seed=16),
         MatrixFamily.random_gaussian(12, 2, 16, seed=17),
-        MatrixFamily(with_zero[:2] + (np.zeros((6, 3)),) + with_zero[2:]),
+        with_zero,
         orthogonal_projector_family(4, 2),
     ]
     signs, sizes = set(), set()

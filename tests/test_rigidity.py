@@ -598,13 +598,26 @@ def test_optimum_survives_permuting_rescaling_and_repeating_directions(lattice, 
         assert lp_optimum(lattice, n, repeated, beta, bound_mode) == optimum
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_haar_fraction_optimum_is_zero_at_zero_nondecreasing_and_convex_in_beta(seed):
+# (lattice, sizes, most directions, seed): generic n = 4-5 with 1-4 directions,
+# then inner n = 8-10 and generic n = 6 with 1-2, each case's nine LPs within
+# about 0.3 s; three directions at generic n = 6 take 1.6-2.6 s
+CONVEXITY_CASES = (
+    [pytest.param("generic", (4, 5), 4, seed, id=str(seed)) for seed in range(8)]
+    + [pytest.param("inner", (n,), 2, seed, id=f"inner-{n}-{seed}")
+       for n in (8, 9, 10) for seed in range(2)]
+    + [pytest.param("generic", (6,), 2, seed, id=f"generic-6-{seed}") for seed in range(2)]
+)
+
+
+@pytest.mark.parametrize("lattice, sizes, most, seed", CONVEXITY_CASES)
+def test_haar_fraction_optimum_is_zero_at_zero_nondecreasing_and_convex_in_beta(
+    lattice, sizes, most, seed
+):
     # v(beta) is an LP value whose right-hand side is linear in beta
     rng = random.Random(100 + seed)
-    n = rng.choice((4, 5))
-    directions = seeded_directions(rng, n)
-    values = [lp_optimum("generic", n, directions, F(k, 8), BOUND_HAAR_FRACTION) for k in range(9)]
+    n = rng.choice(sizes)
+    directions = seeded_directions(rng, n, most)
+    values = [lp_optimum(lattice, n, directions, F(k, 8), BOUND_HAAR_FRACTION) for k in range(9)]
     assert values[0] == 0
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(2 * v <= u + w for u, v, w in zip(values, values[1:], values[2:]))
