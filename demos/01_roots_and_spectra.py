@@ -6,7 +6,6 @@ from haargap import (
     build_type_a,
     cartan,
     dominant_representative,
-    evaluate_root,
     fast_slow_split,
     is_regular,
     lyapunov_spectrum,
@@ -17,10 +16,9 @@ from haargap import (
 rs = build_type_a(3)
 print(f"A_2: {len(rs.roots)} roots, {len(rs.positive_indices)} positive, rank {rs.rank}")
 
-# Evaluate a root on a flow direction exactly.
+# Evaluate a root on a flow direction exactly: alpha_12(X) = X_1 - X_2.
 X = cartan(2, -1, -1)
-alpha_12 = rs.root(1, 2)
-print(f"alpha_12(2,-1,-1) = {evaluate_root(rs, alpha_12, X)}")
+print(f"alpha_12(2,-1,-1) = {X.coords[0] - X.coords[1]}")
 
 # The Weyl group permutes coordinates; this direction has a 3-element orbit.
 for orbit_elem in weyl_orbit(X):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from haargap import (
+    CartanElement,
     build_type_a,
     cartan,
     conjectured_entropy_bound,
@@ -42,4 +43,5 @@ print("bridge identity E * chi_max == proved bound:", E * spec.chi_max == entrop
 
 # Positive homogeneity and Weyl invariance hold exactly.
 c = Fraction(5, 7)
-print("homogeneity check:", entropy_lower_bound(rs, Y.scaled(c)) == c * entropy_lower_bound(rs, Y))
+cY = CartanElement(tuple(c * y for y in Y.coords))
+print("homogeneity check:", entropy_lower_bound(rs, cY) == c * entropy_lower_bound(rs, Y))

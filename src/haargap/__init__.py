@@ -39,7 +39,6 @@ from .roots import (
     build_type_a,
     cartan,
     dominant_representative,
-    evaluate_root,
     is_regular,
     weyl_orbit,
 )

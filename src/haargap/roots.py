@@ -58,13 +58,6 @@ class CartanElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def scaled(self, c) -> "CartanElement":
-        c = Fraction(c)
-        return CartanElement(tuple(c * x for x in self.coords))
-
-    def negated(self) -> "CartanElement":
-        return CartanElement(tuple(-x for x in self.coords))
-
 
 def cartan(*coords) -> CartanElement:
     """Convenience constructor: cartan(2, -1, -1)."""
@@ -72,7 +65,7 @@ def cartan(*coords) -> CartanElement:
 
 
 class RootSystem:
-    """The A_{n-1} root system of SL_n with its index table.
+    """The A_{n-1} root system of SL_n.
 
     Roots are ordered lexicographically by their index pair (i, j), i != j,
     1-based; this order is deterministic, so bitmasks over root indices are
@@ -84,18 +77,9 @@ class RootSystem:
         self.n = n
         self.roots: tuple[Root, ...] = tuple(roots)
         self.rank = n - 1
-        self.index_of: dict[tuple[int, int], int] = {
-            (r.i, r.j): k for k, r in enumerate(self.roots)
-        }
         self.positive_indices: tuple[int, ...] = tuple(
             k for k, r in enumerate(self.roots) if r.i < r.j
         )
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def root(self, i: int, j: int) -> Root:
-        return self.roots[self.index_of[(i, j)]]
 
     def positive_roots(self) -> tuple[Root, ...]:
         return tuple(self.roots[k] for k in self.positive_indices)
@@ -119,13 +103,6 @@ def build_type_a(n: int) -> RootSystem:
             if i != j:
                 roots.append(Root(i, j))
     return RootSystem(n, roots)
-
-
-def evaluate_root(rs: RootSystem, alpha: Root, X: CartanElement) -> Fraction:
-    """Exact value of alpha on X, i.e. X_i - X_j."""
-    if X.n != rs.n:
-        raise ValueError(f"dimension mismatch: root system has n={rs.n}, element has n={X.n}")
-    return X.coords[alpha.i - 1] - X.coords[alpha.j - 1]
 
 
 def _distinct_permutations(items: tuple) -> Iterable[tuple]:

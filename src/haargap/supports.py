@@ -13,6 +13,7 @@ reader that makes one pass never holds them all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ class Partition(tuple):
     def mask(self) -> int:
         n = sum(map(len, self))
         pairs = (p for block in self for p in itertools.permutations(block, 2))
-        # the bit of rs.index_of[(i, j)], the pairs i != j in lexicographic order
+        # the bit of root (i, j) among the pairs i != j in lexicographic order
         return sum(1 << (i - 1) * (n - 1) + j - 1 - (j > i) for i, j in pairs)
 
     @property
@@ -60,8 +61,14 @@ class Partition(tuple):
         if kind == KIND_PAIR:
             return "{±α_%d%d}" % next(b for b in self if len(b) > 1)
         if kind == KIND_BLOCK:
-            return "blocks " + "".join("{" + ",".join(map(str, b)) + "}" for b in self)
+            return "blocks " + "".join(map(_block_text, self))
         return "∅" if kind == KIND_EMPTY else "Δ"
+
+
+# inner n = 12's 142 232 block occurrences hold only 1 718 distinct blocks
+@functools.cache
+def _block_text(block: tuple) -> str:
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 def _partitions(rest: tuple, sizes, prefix: tuple):

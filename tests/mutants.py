@@ -11,6 +11,9 @@ module.  For each, `src/` is copied to a temporary directory, the replacement
 is made in the copy, and `pytest -x -q <test> <module>` runs against it: the
 known test first, then, if it passes, the whole module, so the check stays
 module-wide.  The mutant is killed when pytest reports failed tests or errors.
+All pytest processes of one run share a bytecode cache (PYTHONPYCACHEPREFIX)
+in a temporary directory that is removed when the run ends, so the plugins and
+test modules are compiled and assert-rewritten once, not once per mutant.
 One line per mutant is printed, with the first test that failed, and a summary
 line with the total seconds; the exit code is 1 if any mutant survived or
 could not be applied.  The repository's own files are never changed.  The
@@ -49,6 +52,12 @@ MUTANTS = {
         "for x in scaled).bit_length()",
         "for x in scaled).bit_length() - 1",
         "tests/test_rigidity.py::test_build_lp_sl3_shape_and_first_constraint",
+    ),
+    "beta above 1 let through": (
+        "rigidity.py",
+        "if not (0 <= problem.beta <= 1):",
+        "if not (0 <= problem.beta):",
+        "tests/test_rigidity.py::test_build_lp_validation_errors",
     ),
     "verify_solution without its objective check": (
         "rigidity.py",
@@ -185,8 +194,9 @@ MUTANTS = {
 }
 
 
-def run_mutant(filename: str, old: str, new: str, test: str) -> str:
-    """'killed' and the first failing test, 'SURVIVED', or why it did not run."""
+def run_mutant(filename: str, old: str, new: str, test: str, pycache: str) -> str:
+    """'killed' and the first failing test, 'SURVIVED', or why it did not run;
+    bytecode is written only under pycache."""
     with tempfile.TemporaryDirectory(prefix="haargap-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -195,7 +205,8 @@ def run_mutant(filename: str, old: str, new: str, test: str) -> str:
         if text.count(old) != 1:
             return f"NOT APPLIED: the old text occurs {text.count(old)} times in {filename}"
         path.write_text(text.replace(old, new))
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
         probe = subprocess.run(
             [sys.executable, "-c", "import haargap; print(haargap.__file__)"],
@@ -224,11 +235,12 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
         return 2
     failed, begin = 0, time.perf_counter()
-    for name in names or MUTANTS:
-        start = time.perf_counter()
-        outcome = run_mutant(*MUTANTS[name])
-        failed += not outcome.startswith("killed")
-        print(f"{time.perf_counter() - start:5.1f} s  {name}: {outcome}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="haargap-pycache-") as pycache:
+        for name in names or MUTANTS:
+            start = time.perf_counter()
+            outcome = run_mutant(*MUTANTS[name], pycache)
+            failed += not outcome.startswith("killed")
+            print(f"{time.perf_counter() - start:5.1f} s  {name}: {outcome}", flush=True)
     total = len(names or MUTANTS)
     print(f"{total - failed} of {total} mutants killed in {time.perf_counter() - begin:.1f} s")
     return 1 if failed else 0

@@ -45,6 +45,7 @@ from util import (
     pair_mask,
     random_permutation,
     random_trace_zero,
+    scaled,
 )
 
 
@@ -108,8 +109,8 @@ def test_criterion_5_entropy_property_suite():
                 assert entropy_lower_bound(rs, wX) == entropy_lower_bound(rs, X)
                 assert haar_entropy(rs, wX) == haar_entropy(rs, X)
                 c = F(rng.randint(1, 10), rng.randint(1, 10))
-                assert entropy_lower_bound(rs, X.scaled(c)) == c * entropy_lower_bound(rs, X)
-                assert haar_entropy(rs, X.scaled(c)) == c * haar_entropy(rs, X)
+                assert entropy_lower_bound(rs, scaled(X, c)) == c * entropy_lower_bound(rs, X)
+                assert haar_entropy(rs, scaled(X, c)) == c * haar_entropy(rs, X)
                 assert entropy_lower_bound(rs, X) <= haar_entropy(rs, X)
                 if not X.is_zero():
                     spec = lyapunov_spectrum(rs, X)

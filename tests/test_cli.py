@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import haargap
 from haargap import cli
-from haargap.rigidity import LPSolution
 
 
 def run_json(capsys, argv):
@@ -70,16 +69,6 @@ def test_haar_lp_sl3(capsys):
     assert first["direction"] == "2,-1,-1"
     assert first["rhs"] == "3"
     assert first["coefficients"] == ["0", "3", "3", "0", "6"]
-
-
-def test_haar_lp_reports_a_non_optimal_status(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "solve_lp", lambda model: LPSolution("infeasible", None, {}, ()))
-    code, payload = run_json(capsys, ["haar-lp", "--n", "3", "--beta", "1/2"])
-    assert code == 0
-    assert payload["results"]["status"] == "infeasible"
-    assert "min_haar_weight" not in payload["results"]
-    assert cli.main(["haar-lp", "--n", "3", "--beta", "1/2", "--format", "table"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "  status: infeasible"
 
 
 def test_haar_lp_inner_n6(capsys):

@@ -11,16 +11,17 @@ from haargap.roots import (
     ROOT_SYSTEM_MAX_N,
     CapacityError,
     CartanElement,
+    Root,
     build_type_a,
     cartan,
     dominant_representative,
-    evaluate_root,
     is_regular,
     weyl_orbit,
 )
 from util import (
     apply_permutation,
     closure_of,
+    evaluate_root,
     negation,
     permute_root,
     random_permutation,
@@ -63,9 +64,9 @@ def test_root_order_is_lexicographic():
 
 def test_evaluate_root_examples():
     rs = build_type_a(3)
-    assert evaluate_root(rs, rs.root(1, 2), cartan(2, -1, -1)) == 3
+    assert evaluate_root(rs, Root(1, 2), cartan(2, -1, -1)) == 3
     rs4 = build_type_a(4)
-    assert evaluate_root(rs4, rs4.root(1, 2), cartan(3, -1, -1, -1)) == 4
+    assert evaluate_root(rs4, Root(1, 2), cartan(3, -1, -1, -1)) == 4
 
 
 def test_evaluate_root_antisymmetry():
@@ -81,7 +82,7 @@ def test_evaluate_root_antisymmetry():
 def test_evaluate_root_dimension_mismatch():
     rs = build_type_a(3)
     with pytest.raises(ValueError):
-        evaluate_root(rs, rs.root(1, 2), cartan(1, -1))
+        evaluate_root(rs, Root(1, 2), cartan(1, -1))
 
 
 def test_cartan_element_requires_zero_trace():

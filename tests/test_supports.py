@@ -23,6 +23,7 @@ from util import (
     is_symmetric_mask,
     make_support,
     pair_mask,
+    root_indices,
     support_indices,
 )
 
@@ -215,7 +216,7 @@ def test_is_admissible_examples():
     rs4 = build_type_a(4)
     two_pairs = make_support(rs4, pair_mask(rs4, 1, 2) | pair_mask(rs4, 3, 4))
     assert is_admissible(rs4, two_pairs)
-    lone = make_support(rs3, 1 << rs3.index_of[(1, 2)])
+    lone = make_support(rs3, 1 << root_indices(rs3)[(1, 2)])
     assert not is_admissible(rs3, lone)
 
 

@@ -20,13 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from haargap.entropy import LyapunovSpectrum
-from haargap.roots import (
-    CartanElement,
-    Root,
-    RootSystem,
-    dominant_representative,
-    evaluate_root,
-)
+from haargap.roots import CartanElement, Root, RootSystem, dominant_representative
 from haargap.supports import Partition
 
 KIND_OTHER = "other"
@@ -44,6 +38,29 @@ def random_permutation(rng: random.Random, n: int) -> list[int]:
     return perm
 
 
+def scaled(X: CartanElement, c) -> CartanElement:
+    """The direction cX."""
+    c = Fraction(c)
+    return CartanElement(tuple(c * x for x in X.coords))
+
+
+def negated(X: CartanElement) -> CartanElement:
+    """The direction -X, the inverse flow."""
+    return CartanElement(tuple(-x for x in X.coords))
+
+
+def root_indices(rs: RootSystem) -> dict[tuple[int, int], int]:
+    """The index in rs.roots of each root alpha_ij, keyed by (i, j)."""
+    return {(r.i, r.j): k for k, r in enumerate(rs.roots)}
+
+
+def evaluate_root(rs: RootSystem, alpha: Root, X: CartanElement) -> Fraction:
+    """Exact value of alpha on X, i.e. X_i - X_j."""
+    if X.n != rs.n:
+        raise ValueError(f"dimension mismatch: root system has n={rs.n}, element has n={X.n}")
+    return X.coords[alpha.i - 1] - X.coords[alpha.j - 1]
+
+
 def root_vector(rs: RootSystem, alpha: Root) -> tuple[Fraction, ...]:
     """The coordinate vector e_i - e_j of alpha_ij."""
     vec = [Fraction(0)] * rs.n
@@ -54,12 +71,13 @@ def root_vector(rs: RootSystem, alpha: Root) -> tuple[Fraction, ...]:
 
 def negation(rs: RootSystem) -> tuple[int, ...]:
     """For each root index k, the index of -rs.roots[k]."""
-    return tuple(rs.index_of[(r.j, r.i)] for r in rs.roots)
+    index = root_indices(rs)
+    return tuple(index[(r.j, r.i)] for r in rs.roots)
 
 
 def permute_root(rs: RootSystem, alpha: Root, perm: Sequence[int]) -> Root:
     """Weyl action on roots: alpha_ij -> alpha_{perm(i) perm(j)} (0-based perm)."""
-    return rs.root(perm[alpha.i - 1] + 1, perm[alpha.j - 1] + 1)
+    return Root(perm[alpha.i - 1] + 1, perm[alpha.j - 1] + 1)
 
 
 def apply_permutation(X: CartanElement, perm: Sequence[int]) -> CartanElement:
@@ -72,12 +90,13 @@ def apply_permutation(X: CartanElement, perm: Sequence[int]) -> CartanElement:
 
 def full_mask(rs: RootSystem) -> int:
     """Bitmask of every root."""
-    return (1 << len(rs)) - 1
+    return (1 << len(rs.roots)) - 1
 
 
 def pair_mask(rs: RootSystem, i: int, j: int) -> int:
     """Bitmask of the symmetric pair {alpha_ij, alpha_ji}."""
-    return (1 << rs.index_of[(i, j)]) | (1 << rs.index_of[(j, i)])
+    index = root_indices(rs)
+    return (1 << index[(i, j)]) | (1 << index[(j, i)])
 
 
 @dataclass(frozen=True)
@@ -103,8 +122,8 @@ def support_indices(mask: int) -> tuple[int, ...]:
 
 
 def _check_mask(rs: RootSystem, mask: int) -> None:
-    if mask < 0 or mask >> len(rs):
-        raise ValueError(f"mask {mask:#x} does not fit a root system with {len(rs)} roots")
+    if mask < 0 or mask >> len(rs.roots):
+        raise ValueError(f"mask {mask:#x} does not fit a root system with {len(rs.roots)} roots")
 
 
 def is_symmetric_mask(rs: RootSystem, mask: int) -> bool:
@@ -125,9 +144,10 @@ def closure_of(rs: RootSystem, mask: int) -> int:
         into = [i for i, m in pairs if m == k]
         out = [j for m, j in pairs if m == k]
         pairs.update((i, j) for i in into for j in out if i != j)
+    index = root_indices(rs)
     closed = 0
     for pair in pairs:
-        closed |= 1 << rs.index_of[pair]
+        closed |= 1 << index[pair]
     return closed
 
 
