@@ -48,7 +48,7 @@ from .roots import (
     dominant_representative,
     is_regular,
 )
-from .supports import CapacityError
+from .supports import CapacityError, render_label
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -275,7 +275,7 @@ def _cmd_bound(args, inputs: dict) -> tuple[dict, list[str], int]:
 def _cmd_supports(args, inputs: dict) -> tuple[dict, list[str], int]:
     # printed in full below, so walked once here rather than once per use
     sets = list(lattice_supports(args.n, args.lattice)[1])
-    supports = [{"label": s.label, "kind": s.kind} for s in sets]
+    supports = [{"label": render_label(s, kind := s.kind), "kind": kind} for s in sets]
     by_kind = dict(Counter(s["kind"] for s in supports))
     results = {"count": len(sets), "counts_by_kind": by_kind, "supports": supports}
     lines = [

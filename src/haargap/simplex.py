@@ -2,19 +2,25 @@
 
 Dense tableau implementation for small problems, kept as one augmented array:
 each row holds a constraint's coefficients (in phase 1 also the artificial
-columns) with its right-hand side as the last entry, and the current
+columns it stores) with its right-hand side as the last entry, and the current
 objective's reduced costs ride along as the last row, minus the objective
 value in its last entry.  One pivot therefore updates constraints,
 right-hand sides and reduced costs together.  Every entry is a Fraction;
 pivoting follows Bland's rule (lowest eligible index, ties by lowest basic
 variable), which rules out cycling and makes the solved vertex deterministic.
 
-Phase 1 minimizes the sum of the artificials, each basic in its own row, so
-its cost row is minus each column's sum over the constraint rows (0 under the
-artificials), taken on integers over the column's common denominator.  Phase
-2 prices its objective out by subtracting cost times row for each basic
-variable with a nonzero cost.  The ratio test compares the ratios on
-integers by cross-multiplication.
+Phase 1 minimizes the sum of the artificials a_0..a_{m-1}, logical columns
+n..n+m-1, each basic in its own row, so its cost row is minus each column's
+sum over the constraint rows (0 under the artificials), taken on integers
+over the column's common denominator.  An artificial is stored only for a row
+without a signed unit column.  If column j of the sign-normalized rows is
+tau*e_i (tau = +-1), then, as the tableau is B^-1 times the original columns
+and the reduced costs are z = c - c_B B^-1 A, col(a_i) = tau*col(j) and
+z(a_i) = 1 + tau*z(j) at every basis.  Both are exact, so every entry the
+solver reads, and with it every pivot, is the one an explicit artificial
+column would give.  Phase 2 prices its objective out by subtracting cost
+times row for each basic variable with a nonzero cost.  The ratio test
+compares the ratios on integers by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -45,11 +52,11 @@ def _fraction(v):
     return v if type(v) is Fraction else Fraction(v)
 
 
-def _pivot(T, basis, row, col):
-    inv = _ONE / T[row][col]
+def _pivot(T, basis, row, col, column):
+    """Pivot on T[row] at logical column col, whose entries in the rows of T are column."""
+    inv = _ONE / column[row]
     prow = T[row] = [v * inv if v else v for v in T[row]]
-    for i, ti in enumerate(T):
-        f = ti[col]
+    for i, (ti, f) in enumerate(zip(T, column)):
         if f and i != row:
             # a zero in the pivot row leaves the entry as it is: skip two Fraction ops
             T[i] = [a - f * b if b else a for a, b in zip(ti, prow)]
@@ -62,24 +69,36 @@ def _negated_sum(values):
     return Fraction(-sum(v.numerator * (d // v.denominator) for v in values), d)
 
 
-def _run_phase(T, basis, z):
+def _run_phase(T, basis, z, n, artificials=()):
     """Append the reduced-cost row z to T and pivot until optimal or unbounded.
 
     The cost row stays last in T; the constraint rows are T[:len(basis)].
+    Logical column n + i is artificials[i] = (k, tau, offset): its entries
+    are tau*T[:, k], plus offset in the cost row.
     """
     T.append(z)
     rows = range(len(basis))
-    width = len(z) - 1
+
+    def column(j):
+        """Logical column j's entries in the rows of T, its reduced cost last."""
+        if j < n:
+            return [t[j] for t in T]
+        k, tau, offset = artificials[j - n]
+        return [tau * t[k] for t in T[:-1]] + [offset + tau * T[-1][k]]
+
     while True:
         z = T[-1]
-        col = next((j for j in range(width) if z[j] < 0), None)
+        # an artificial is priced only when no structural column is eligible
+        col = next(chain((j for j in range(n) if z[j] < 0),
+                         (j for j in range(n, n + len(artificials)) if column(j)[-1] < 0)), None)
         if col is None:
             return STATUS_OPTIMAL
+        values = column(col)
         # ratio test on integers, b/a = (p/q)/(s/t) as p*t over q*s; ties go
         # to the lowest basic variable
         best = None
         for i in rows:
-            a = T[i][col]
+            a = values[i]
             if a > 0:
                 b = T[i][-1]
                 num, den = b.numerator * a.denominator, b.denominator * a.numerator
@@ -87,7 +106,7 @@ def _run_phase(T, basis, z):
                     best, best_num, best_den = i, num, den
         if best is None:
             return STATUS_UNBOUNDED
-        _pivot(T, basis, best, col)
+        _pivot(T, basis, best, col, values)
 
 
 def solve_standard_form(A, b, c) -> SimplexResult:
@@ -107,15 +126,22 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     T = []
     for i in range(m):
         row = [_fraction(v) for v in A[i]] + [_fraction(b[i])]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        T.append(row[:n] + [_ONE if k == i else _ZERO for k in range(m)] + row[n:])
+        T.append([-v for v in row] if row[-1] < 0 else row)
 
-    # phase 1: artificial basis, minimizing the sum of the artificials; its
-    # cost row is minus the column sums, 0 under the artificials
+    # phase 1 minimizes the sum of the artificials; a_i is (j, tau, 1), read off
+    # its row's first unit column j = tau*e_i, or is stored after the n columns
+    artificials = {}
+    for j, col in zip(range(n), zip(*T)):
+        nonzero = [i for i, v in enumerate(col) if v]
+        if len(nonzero) == 1 and abs(col[nonzero[0]]) == 1:
+            artificials.setdefault(nonzero[0], (j, col[nonzero[0]].numerator, 1))
+    stored = [i for i in range(m) if i not in artificials]
+    artificials.update({i: (n + p, 1, 0) for p, i in enumerate(stored)})
+    T = [t[:n] + [_ONE if k == i else _ZERO for k in stored] + t[n:] for i, t in enumerate(T)]
+    z = [_negated_sum(col) for col in zip(*T)]
+    z[n:-1] = [_ZERO] * len(stored)
     basis = list(range(n, n + m))
-    sums = [_negated_sum(col) for col in zip(*T)]
-    if _run_phase(T, basis, sums[:n] + [_ZERO] * m + sums[-1:]) == STATUS_UNBOUNDED:
+    if _run_phase(T, basis, z, n, artificials) == STATUS_UNBOUNDED:
         # cannot happen: phase-1 objective is bounded below by zero
         raise RuntimeError("phase-1 simplex reported unbounded")
     if T.pop()[-1] < 0:
@@ -128,7 +154,7 @@ def solve_standard_form(A, b, c) -> SimplexResult:
             col = next((j for j in range(n) if T[i][j]), None)
             if col is None:
                 continue  # redundant row
-            _pivot(T, basis, i, col)
+            _pivot(T, basis, i, col, [t[col] for t in T])
         keep.append(i)
     T = [T[i][:n] + T[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
@@ -138,7 +164,7 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     for ti, bi in zip(T, basis):
         if c[bi]:
             z = [a - c[bi] * b for a, b in zip(z, ti)]
-    if _run_phase(T, basis, z) == STATUS_UNBOUNDED:
+    if _run_phase(T, basis, z, n) == STATUS_UNBOUNDED:
         return SimplexResult(STATUS_UNBOUNDED, None, None, None)
     x = [_ZERO] * n
     for ti, bi in zip(T, basis):

@@ -57,12 +57,16 @@ class Partition(tuple):
 
     @property
     def label(self) -> str:
-        kind = self.kind
-        if kind == KIND_PAIR:
-            return "{±α_%d%d}" % next(b for b in self if len(b) > 1)
-        if kind == KIND_BLOCK:
-            return "blocks " + "".join(map(_block_text, self))
-        return "∅" if kind == KIND_EMPTY else "Δ"
+        return render_label(self, self.kind)
+
+
+def render_label(p: Partition, kind: str) -> str:
+    """p's label, rendered from its kind, which a caller that also shows it has at hand."""
+    if kind == KIND_PAIR:
+        return "{±α_%d%d}" % next(b for b in p if len(b) > 1)
+    if kind == KIND_BLOCK:
+        return "blocks " + "".join(map(_block_text, p))
+    return "∅" if kind == KIND_EMPTY else "Δ"
 
 
 # inner n = 12's 142 232 block occurrences hold only 1 718 distinct blocks

@@ -11,14 +11,17 @@ module.  For each, `src/` is copied to a temporary directory, the replacement
 is made in the copy, and `pytest -x -q <test> <module>` runs against it: the
 known test first, then, if it passes, the whole module, so the check stays
 module-wide.  The mutant is killed when pytest reports failed tests or errors.
+Two mutants run at a time.  Each pytest process runs in its mutant's
+temporary directory, so Hypothesis keeps its example database there and a
+failure that one mutant saves is never replayed by another or by tier-1.
 All pytest processes of one run share a bytecode cache (PYTHONPYCACHEPREFIX)
 in a temporary directory that is removed when the run ends, so the plugins and
 test modules are compiled and assert-rewritten once, not once per mutant.
-One line per mutant is printed, with the first test that failed, and a summary
-line with the total seconds; the exit code is 1 if any mutant survived or
-could not be applied.  The repository's own files are never changed.  The
-file name keeps it out of pytest's default collection, so tier-1 does not run
-it.
+One line per mutant is printed in list order, with the first test that
+failed, and a summary line with the total seconds; the exit code is 1 if any
+mutant survived or could not be applied.  The repository's own files are
+never changed.  The file name keeps it out of pytest's default collection, so
+tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,9 +47,17 @@ MUTANTS = {
     ),
     "Bland's entering column taken from the end": (
         "simplex.py",
-        "col = next((j for j in range(width) if z[j] < 0), None)",
-        "col = next((j for j in reversed(range(width)) if z[j] < 0), None)",
+        "next(chain((j for j in range(n) if z[j] < 0),",
+        "next(chain((j for j in reversed(range(n)) if z[j] < 0),",
         "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
+    ),
+    # the wrong reduced cost makes phase 1 cycle on some LPs, so the named
+    # test is the one that fails before any such LP is solved
+    "tau flipped in a derived artificial's reduced cost": (
+        "simplex.py",
+        "[offset + tau * T[-1][k]]",
+        "[offset - tau * T[-1][k]]",
+        "tests/test_simplex.py::test_an_artificial_read_off_a_unit_column_reenters",
     ),
     "build_lp lane one bit short": (
         "rigidity.py",
@@ -218,13 +230,14 @@ def run_mutant(filename: str, old: str, new: str, test: str, pycache: str) -> st
         module = test.split("::")[0]
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--keep-duplicates", test, module],
-            cwd=ROOT, env=env, capture_output=True, text=True,
+             "--keep-duplicates", str(ROOT / test), str(ROOT / module)],
+            cwd=tmp, env=env, capture_output=True, text=True,
         )
         # pytest: 1 = tests failed, 2 = errors such as a failed import
         if result.returncode in (1, 2):
-            caught = [line.split(" - ")[0] for line in result.stdout.splitlines()
-                      if line.startswith(("FAILED ", "ERROR "))]
+            # pytest names the tests by their path from cwd, the temporary directory
+            caught = [line.split(" - ")[0].replace(os.path.relpath(ROOT, tmp) + os.sep, "")
+                      for line in result.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
             return f"killed    {caught[0] if caught else ''}"
         return "SURVIVED" if result.returncode == 0 else f"NOT RUN: pytest exit {result.returncode}"
 
@@ -234,14 +247,20 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
         return 2
+    names = names or list(MUTANTS)
     failed, begin = 0, time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="haargap-pycache-") as pycache:
-        for name in names or MUTANTS:
+    with tempfile.TemporaryDirectory(prefix="haargap-pycache-") as pycache, \
+            ThreadPoolExecutor(max_workers=2) as pool:
+
+        def timed(name: str) -> tuple[str, float]:
             start = time.perf_counter()
             outcome = run_mutant(*MUTANTS[name], pycache)
+            return outcome, time.perf_counter() - start
+
+        for name, (outcome, seconds) in zip(names, pool.map(timed, names)):
             failed += not outcome.startswith("killed")
-            print(f"{time.perf_counter() - start:5.1f} s  {name}: {outcome}", flush=True)
-    total = len(names or MUTANTS)
+            print(f"{seconds:5.1f} s  {name}: {outcome}", flush=True)
+    total = len(names)
     print(f"{total - failed} of {total} mutants killed in {time.perf_counter() - begin:.1f} s")
     return 1 if failed else 0
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from haargap import simplex
 from haargap.entropy import entropy_lower_bound, haar_entropy
 from haargap.rigidity import (
     BOUND_HAAR_FRACTION,
@@ -652,3 +653,31 @@ def test_weights_keyed_by_support_and_sum_to_one():
     total = sum(solution.weights.values(), F(0))
     assert total == 1
     assert all(w >= 0 for w in solution.weights.values())
+
+
+@pytest.mark.parametrize(
+    "n, lattice, beta, pivots, updates",
+    [
+        (9, "inner", F(1, 2), 11, 272),
+        (12, "inner", F(1, 2), 17, 812),
+        (4, "generic", F(1, 2), 8, 436),
+        (6, "generic", F(1), 144, 144_639),
+    ],
+)
+def test_simplex_work_counts_are_pinned(monkeypatch, n, lattice, beta, pivots, updates):
+    # a count that moves is a change in the work the simplex does, whatever
+    # the host's timings say: fix the regression or re-pin it as a golden
+    work, pivot = [], simplex._pivot
+
+    def counting(T, basis, row, col, column):
+        # Fraction updates: the pivot row's nonzero entries, in the pivot row
+        # and in every row with a nonzero entry in the pivot column
+        work.append((sum(map(bool, column)) * sum(map(bool, T[row])), len(T[row])))
+        pivot(T, basis, row, col, column)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    _, model, _ = solve_min_haar(n, lattice, beta)
+    assert (len(work), sum(u for u, _ in work)) == (pivots, updates)
+    # every row of A has a signed unit column, so phase 1 stores no artificial:
+    # each row holds the group and surplus columns and the right-hand side
+    assert {width for _, width in work} == {len(model.supports) + len(model.ge_rows) + 1}

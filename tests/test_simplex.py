@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import haargap.simplex as simplex
 from haargap.simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -16,7 +17,7 @@ from haargap.simplex import (
     SimplexResult,
     solve_standard_form,
 )
-from util import brute_force_standard_form, row_rank
+from util import brute_force_standard_form, explicit_artificial_standard_form, row_rank
 
 
 def test_empty_lp_is_the_empty_vertex():
@@ -194,3 +195,107 @@ def test_matches_column_basis_oracle(lp):
         for row, rhs in zip(A, b):
             assert sum(a * v for a, v in zip(row, res.x)) == rhs
         assert sum(cj * v for cj, v in zip(c, res.x)) == res.objective
+
+
+def _unit_column_lp(pick):
+    """A random LP whose rows get zero, one or two signed unit columns.
+
+    pick(lo, hi) draws an integer in [lo, hi], so Hypothesis and a seeded
+    Random share this generator.  A unit column is +e_i (a slack) or -e_i (a
+    surplus), and a negative right-hand side negates its row, sign included.
+    A redundant last row, a rescaled copy of the first, leaves the first row's
+    unit columns with two entries.  The columns are shuffled, so the unit
+    columns sit anywhere in Bland's order.
+    """
+    m, n = pick(1, 4), pick(1, 4)
+    A = [[F(pick(-3, 3), pick(1, 3)) for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        for _ in range(pick(0, 2)):
+            sign = F(2 * pick(0, 1) - 1)
+            for k, row in enumerate(A):
+                row.append(sign if k == i else F(0))
+    b = [F(pick(-4, 4)) for _ in range(m)]
+    if m > 1 and not pick(0, 3):
+        s = F(pick(1, 3) * (2 * pick(0, 1) - 1))
+        A[-1], b[-1] = [s * v for v in A[0]], s * b[0]
+    order = list(range(len(A[0])))
+    for j in reversed(order[1:]):
+        k = pick(0, j)
+        order[j], order[k] = order[k], order[j]
+    return [[row[j] for j in order] for row in A], b, [F(pick(-3, 3)) for _ in order]
+
+
+def _unit_signs(A, b):
+    """Each row's unit-column signs once rows with a negative right-hand side are negated."""
+    signs = [[] for _ in A]
+    for col in zip(*A):
+        nonzero = [i for i, v in enumerate(col) if v]
+        if len(nonzero) == 1 and abs(col[nonzero[0]]) == 1:
+            i = nonzero[0]
+            signs[i].append(-col[i] if b[i] < 0 else col[i])
+    return signs
+
+
+def _recorded_pivots(monkeypatch):
+    """The (entering column, stored row width) of every pivot the simplex makes from now on."""
+    pivots, pivot = [], simplex._pivot
+
+    def recording(T, basis, row, col, column):
+        pivots.append((col, len(T[row])))
+        pivot(T, basis, row, col, column)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derived_artificials_match_explicit_reference(data):
+    A, b, c = _unit_column_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert solve_standard_form(A, b, c) == explicit_artificial_standard_form(A, b, c)
+
+
+def test_derived_artificials_match_explicit_reference_on_a_seeded_sweep(monkeypatch):
+    rng = random.Random(28)
+    corpus = [_unit_column_lp(rng.randint) for _ in range(800)]
+    pivots = _recorded_pivots(monkeypatch)
+    results, reentries = [], 0
+    for A, b, c in corpus:
+        del pivots[:]
+        results.append(solve_standard_form(A, b, c))
+        assert results[-1] == explicit_artificial_standard_form(A, b, c)
+        # an artificial (index >= n) enters only in phase 1, after leaving
+        reentries += any(col >= len(A[0]) for col, _ in pivots)
+    # slack and surplus columns, negated rows among them, rows with two unit
+    # columns and with none, dropped redundant rows, and re-entering artificials
+    rows = [(bi, signs) for A, b, _ in corpus for bi, signs in zip(b, _unit_signs(A, b))]
+    assert Counter(len(signs) for _, signs in rows) == {0: 824, 1: 562, 2: 571, 3: 52, 4: 8}
+    assert Counter(v for _, signs in rows for v in signs) == {1: 981, -1: 911}
+    assert sum(bi < 0 and bool(signs) for bi, signs in rows) == 531
+    assert Counter(r.status for r in results) == {
+        STATUS_INFEASIBLE: 326,
+        STATUS_OPTIMAL: 190,
+        STATUS_UNBOUNDED: 284,
+    }
+    assert sum(r.status == STATUS_OPTIMAL and len(r.basis) < len(A)
+               for (A, _, _), r in zip(corpus, results)) == 23
+    assert reentries == 3
+
+
+def test_an_artificial_read_off_a_unit_column_reenters(monkeypatch):
+    # once row 0 is negated every row has a signed unit column (row 1 two),
+    # so phase 1 stores no artificial, yet a_1 (column 7 + 1) comes back into
+    # the basis before phase 1 finds the LP infeasible
+    A = [[F(v) for v in row.split()] for row in (
+        "0 0 -1 -1 -2/3 0 -3/2",
+        "-1 -1 2/3 0 -3 0 -1",
+        "0 0 -1 0 0 -1 -3/2",
+    )]
+    b, c = [F(-3), F(0), F(4)], [F(v) for v in (2, 3, -1, -2, 3, -2, -2)]
+    assert _unit_signs(A, b) == [[1], [-1, -1], [-1]]
+    pivots = _recorded_pivots(monkeypatch)
+    res = solve_standard_form(A, b, c)
+    assert res == explicit_artificial_standard_form(A, b, c)
+    assert res.status == STATUS_INFEASIBLE
+    assert 7 + 1 in [col for col, _ in pivots]
+    assert {width for _, width in pivots} == {7 + 1}

@@ -21,6 +21,12 @@ from typing import Sequence
 
 from haargap.entropy import LyapunovSpectrum
 from haargap.roots import CartanElement, Root, RootSystem, dominant_representative
+from haargap.simplex import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_UNBOUNDED,
+    SimplexResult,
+)
 from haargap.supports import Partition
 
 KIND_OTHER = "other"
@@ -358,6 +364,74 @@ def brute_force_standard_form(A, b, c):
         if best is None or value < best:
             best = value
     return ("infeasible", None) if best is None else ("optimal", best)
+
+
+def explicit_artificial_standard_form(A, b, c) -> SimplexResult:
+    """solve_standard_form as it was with one stored artificial column per row.
+
+    The reference for the production solver, which reads an artificial off a
+    signed unit column of its row instead: the same two phases, Bland's rule
+    and ratio test, on a tableau [A | I | b] whose artificial columns are
+    always stored and pivoted.  Only the arithmetic is repeated here, not
+    shared, so an error in the derived columns cannot hide in both.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    m, n = len(A), len(A[0]) if A else 0
+    c = [Fraction(v) for v in c]
+    if len(c) != n:
+        raise ValueError(f"objective length {len(c)} does not match {n} columns")
+    if not m:
+        return SimplexResult(STATUS_OPTIMAL, (), zero, ())
+
+    def pivot(T, basis, row, col):
+        prow = T[row] = [v / T[row][col] for v in T[row]]
+        for i, ti in enumerate(T):
+            if i != row and ti[col]:
+                T[i] = [a - ti[col] * p for a, p in zip(ti, prow)]
+        basis[row] = col
+
+    def run(T, basis, z):
+        T.append(z)
+        while True:
+            col = next((j for j in range(len(z) - 1) if T[-1][j] < 0), None)
+            if col is None:
+                return STATUS_OPTIMAL
+            ratios = [(T[i][-1] / T[i][col], basis[i], i) for i in range(len(basis)) if T[i][col] > 0]
+            if not ratios:
+                return STATUS_UNBOUNDED
+            pivot(T, basis, min(ratios)[2], col)
+
+    T = []
+    for i in range(m):
+        sign = -1 if b[i] < 0 else 1
+        T.append([sign * Fraction(v) for v in A[i]] + [one if k == i else zero for k in range(m)]
+                 + [sign * Fraction(b[i])])
+    basis = list(range(n, n + m))
+    z = [-sum(col, zero) for col in zip(*T)]
+    z[n:n + m] = [zero] * m
+    if run(T, basis, z) == STATUS_UNBOUNDED:
+        raise RuntimeError("phase-1 simplex reported unbounded")
+    if T.pop()[-1] < 0:
+        return SimplexResult(STATUS_INFEASIBLE, None, None, None)
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j]), None)
+            if col is None:
+                continue
+            pivot(T, basis, i, col)
+        keep.append(i)
+    T = [T[i][:n] + T[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+    z = c + [zero]
+    for ti, bi in zip(T, basis):
+        z = [a - c[bi] * v for a, v in zip(z, ti)]
+    if run(T, basis, z) == STATUS_UNBOUNDED:
+        return SimplexResult(STATUS_UNBOUNDED, None, None, None)
+    x = [zero] * n
+    for ti, bi in zip(T, basis):
+        x[bi] = ti[-1]
+    return SimplexResult(STATUS_OPTIMAL, tuple(x), -T[-1][-1], tuple(basis))
 
 
 def sequential_validation_suite(seed: int) -> dict:
