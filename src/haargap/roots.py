@@ -3,14 +3,15 @@ exact rational arithmetic.
 
 The ambient group is SL_n: Cartan elements are trace-zero rational vectors,
 roots are the functionals X -> X_i - X_j, and the Weyl group acts by
-coordinate permutations.  No floating point enters this module.
+coordinate permutations, so an orbit is walked over a direction's distinct
+coordinate values.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 # Largest n for which a root system is built (n(n-1) roots and their index
@@ -68,9 +69,8 @@ class RootSystem:
     """The A_{n-1} root system of SL_n.
 
     Roots are ordered lexicographically by their index pair (i, j), i != j,
-    1-based; this order is deterministic, so bitmasks over root indices are
-    reproducible across runs.  SL_n is split, so every root has multiplicity 1
-    and sums over roots carry no weights.
+    1-based, the same order on every run.  SL_n is split, so every root has
+    multiplicity 1 and sums over roots carry no weights.
     """
 
     def __init__(self, n: int, roots: Sequence[Root]):
@@ -97,50 +97,37 @@ def build_type_a(n: int) -> RootSystem:
         raise CapacityError(
             f"root systems are limited to n <= {ROOT_SYSTEM_MAX_N}, got n={n}"
         )
-    roots = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                roots.append(Root(i, j))
-    return RootSystem(n, roots)
-
-
-def _distinct_permutations(items: tuple) -> Iterable[tuple]:
-    """Multiset permutations of items, each once, in descending lexicographic order.
-
-    Steps through the permutations of the values' ranks (0 for the largest) in
-    ascending order, the classic next-permutation walk, so only ints are compared.
-    """
-    values = sorted(set(items), reverse=True)
-    rank = {v: r for r, v in enumerate(values)}
-    a = sorted(rank[v] for v in items)
-    last = len(a) - 1
-    while True:
-        yield tuple(values[r] for r in a)
-        i = last - 1
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
+    indices = range(1, n + 1)
+    return RootSystem(n, [Root(i, j) for i in indices for j in indices if i != j])
 
 
 def weyl_orbit(X: CartanElement) -> tuple[CartanElement, ...]:
-    """All distinct coordinate permutations of X, deduplicated.
+    """All distinct coordinate permutations of X, in descending lexicographic
+    order, so the dominant representative comes first.
 
-    Returned in descending lexicographic order, so the dominant representative
-    comes first; the order is deterministic.  X is already checked, so each
-    permutation is stored as it is, without converting or re-summing it.
+    The walk fills the positions in order, each with every distinct value that
+    has copies left, largest first.  X is already checked, so each permutation
+    is stored as it is, without converting or re-summing it.
     """
-    orbit = []
-    for p in _distinct_permutations(X.coords):
-        Y = object.__new__(CartanElement)
-        object.__setattr__(Y, "coords", p)
-        orbit.append(Y)
+    # each distinct value beside the number of its copies still to place
+    left = [[v, X.coords.count(v)] for v in sorted(set(X.coords), reverse=True)]
+    n, prefix, orbit = X.n, [], []
+
+    def walk() -> None:
+        if len(prefix) == n:
+            Y = object.__new__(CartanElement)
+            object.__setattr__(Y, "coords", tuple(prefix))
+            orbit.append(Y)
+            return
+        for cell in left:
+            if cell[1]:
+                cell[1] -= 1
+                prefix.append(cell[0])
+                walk()
+                prefix.pop()
+                cell[1] += 1
+
+    walk()
     return tuple(orbit)
 
 

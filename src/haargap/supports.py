@@ -6,9 +6,9 @@ on {1..n}: ±α_ij ∈ R means i ~ j, and closure under α_ik + α_kj = α_ij is
 transitivity.  So every support is the set of within-block roots of a set
 partition of {1..n}, and both enumerations walk set partitions: all of them
 for the generic lattice, those with equal-size blocks for inner forms.  The
-generic supports (at most Bell(6) = 203) come as a sorted list; the inner ones
-(32 034 at n = 12) as a lazy walk that is taken afresh on each iteration, so a
-reader that makes one pass never holds them all.
+generic supports (at most Bell(6) = 203) come as a list sorted by their roots;
+the inner ones (32 034 at n = 12) as a lazy walk that is taken afresh on each
+iteration, so a reader that makes one pass never holds them all.
 """
 
 from __future__ import annotations
@@ -33,18 +33,10 @@ class Partition(tuple):
     """A set partition of {1..n}: ascending blocks ordered by their smallest element.
 
     It stands for the admissible support of every root inside a block.  Its
-    mask (over build_type_a(n)'s lexicographic root order), label and kind are
-    derived from the blocks when read.
+    label and kind are derived from the blocks when read.
     """
 
     __slots__ = ()
-
-    @property
-    def mask(self) -> int:
-        n = sum(map(len, self))
-        pairs = (p for block in self for p in itertools.permutations(block, 2))
-        # the bit of root (i, j) among the pairs i != j in lexicographic order
-        return sum(1 << (i - 1) * (n - 1) + j - 1 - (j > i) for i, j in pairs)
 
     @property
     def kind(self) -> str:
@@ -96,7 +88,8 @@ def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
     """All symmetric, addition-closed subsets of the root set.
 
     One per set partition of {1..n}, so Bell(n) of them; ordered by root
-    count then mask value, so ∅ comes first and Δ last.
+    count, then by the roots (i, j) inside the blocks, compared from the
+    largest down, so ∅ comes first and Δ last.
     """
     npos = len(rs.positive_indices)
     if npos > GENERIC_POSITIVE_ROOT_LIMIT:
@@ -105,8 +98,14 @@ def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
             f"limited to {GENERIC_POSITIVE_ROOT_LIMIT}"
         )
     found = list(_partitions(tuple(range(1, rs.n + 1)), range(1, rs.n + 1), ()))
-    found.sort(key=lambda p: (p.mask.bit_count(), p.mask))
+    found.sort(key=_roots_descending)
     return found
+
+
+def _roots_descending(p: Partition) -> tuple[int, list]:
+    """The root count of p and its roots (i, j), largest first: the generic sort key."""
+    roots = sorted((r for block in p for r in itertools.permutations(block, 2)), reverse=True)
+    return len(roots), roots
 
 
 @dataclass(frozen=True)

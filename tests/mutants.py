@@ -11,6 +11,8 @@ module.  For each, `src/` is copied to a temporary directory, the replacement
 is made in the copy, and `pytest -x -q <test> <module>` runs against it: the
 known test first, then, if it passes, the whole module, so the check stays
 module-wide.  The mutant is killed when pytest reports failed tests or errors.
+A mutant whose pytest runs past MUTANT_TIMEOUT_S, such as one that makes a
+loop never end, is stopped there and counted as detected, apart from the kills.
 Two mutants run at a time.  Each pytest process runs in its mutant's
 temporary directory, so Hypothesis keeps its example database there and a
 failure that one mutant saves is never replayed by another or by tier-1.
@@ -18,10 +20,10 @@ All pytest processes of one run share a bytecode cache (PYTHONPYCACHEPREFIX)
 in a temporary directory that is removed when the run ends, so the plugins and
 test modules are compiled and assert-rewritten once, not once per mutant.
 One line per mutant is printed in list order, with the first test that
-failed, and a summary line with the total seconds; the exit code is 1 if any
-mutant survived or could not be applied.  The repository's own files are
-never changed.  The file name keeps it out of pytest's default collection, so
-tier-1 does not run it.
+failed or the timeout, and a summary line with the timeouts and the total
+seconds; the exit code is 1 if any mutant survived or could not be applied.
+The repository's own files are never changed.  The file name keeps it out of
+pytest's default collection, so tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# seconds each pytest process of one mutant may run: over three times the
+# slowest module alone (tests/test_rigidity.py, about 9 s), so a mutant that
+# only slows the tests down is not mistaken for one that hangs
+MUTANT_TIMEOUT_S = 30
+TIMED_OUT = f"timed out after {MUTANT_TIMEOUT_S} s"
+
 # name: (file in src/haargap, exact old text, new text, known killing test)
 MUTANTS = {
     "ratio-test ties broken by row": (
@@ -51,13 +59,13 @@ MUTANTS = {
         "next(chain((j for j in reversed(range(n)) if z[j] < 0),",
         "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
     ),
-    # the wrong reduced cost makes phase 1 cycle on some LPs, so the named
-    # test is the one that fails before any such LP is solved
+    # the wrong reduced cost makes phase 1 cycle on some LPs of the pinned
+    # corpus, so the named test never ends and the mutant times out
     "tau flipped in a derived artificial's reduced cost": (
         "simplex.py",
         "[offset + tau * T[-1][k]]",
         "[offset - tau * T[-1][k]]",
-        "tests/test_simplex.py::test_an_artificial_read_off_a_unit_column_reenters",
+        "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
     ),
     "build_lp lane one bit short": (
         "rigidity.py",
@@ -148,15 +156,39 @@ MUTANTS = {
     ),
     "generic supports left unsorted": (
         "supports.py",
-        "    found.sort(key=lambda p: (p.mask.bit_count(), p.mask))\n",
+        "    found.sort(key=_roots_descending)\n",
         "",
         "tests/test_supports.py::test_a2_supports_exactly_five",
+    ),
+    "generic supports sorted with roots ascending": (
+        "supports.py",
+        "itertools.permutations(block, 2)), reverse=True)",
+        "itertools.permutations(block, 2)))",
+        "tests/test_supports.py::test_symmetric_closed_matches_independent_filter",
+    ),
+    "orbit walk takes the smallest value first": (
+        "roots.py",
+        "sorted(set(X.coords), reverse=True)",
+        "sorted(set(X.coords))",
+        "tests/test_roots.py::test_weyl_orbit_matches_permutation_oracle",
     ),
     "haar-lp solves before it renders the constraints": (
         "cli.py",
         "    num_variables = len(model.group_of)\n",
         "    solution = solve_lp(model)\n    num_variables = len(model.group_of)\n",
         "tests/test_cli.py::test_unprintable_results_are_refused_with_the_cli_message",
+    ),
+    "haar-lp coefficients printed per group": (
+        "cli.py",
+        "[_frac(row[g]) for g in model.group_of]",
+        "[_frac(v) for v in row]",
+        "tests/test_cli_payloads.py::test_every_printed_value_matches_the_oracles",
+    ),
+    "orbit size divided by each multiplicity, not its factorial": (
+        "cli.py",
+        "orbit_size //= math.factorial(m)",
+        "orbit_size //= m",
+        "tests/test_cli_payloads.py::test_every_printed_value_matches_the_oracles",
     ),
     "sums check without its n = 1 floor": (
         "cli.py",
@@ -207,8 +239,8 @@ MUTANTS = {
 
 
 def run_mutant(filename: str, old: str, new: str, test: str, pycache: str) -> str:
-    """'killed' and the first failing test, 'SURVIVED', or why it did not run;
-    bytecode is written only under pycache."""
+    """'killed' and the first failing test, TIMED_OUT, 'SURVIVED', or why it
+    did not run; bytecode is written only under pycache."""
     with tempfile.TemporaryDirectory(prefix="haargap-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -220,19 +252,22 @@ def run_mutant(filename: str, old: str, new: str, test: str, pycache: str) -> st
         env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-        probe = subprocess.run(
-            [sys.executable, "-c", "import haargap; print(haargap.__file__)"],
-            env=env, capture_output=True, text=True,
-        )
-        if not probe.stdout.startswith(str(src)):
-            return f"NOT APPLIED: haargap imports from {probe.stdout.strip() or probe.stderr.strip()}"
         # without --keep-duplicates pytest folds the test into its module's order
         module = test.split("::")[0]
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--keep-duplicates", str(ROOT / test), str(ROOT / module)],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
+        try:
+            probe = subprocess.run(
+                [sys.executable, "-c", "import haargap; print(haargap.__file__)"],
+                env=env, capture_output=True, text=True, timeout=MUTANT_TIMEOUT_S,
+            )
+            if not probe.stdout.startswith(str(src)):
+                return f"NOT APPLIED: haargap imports from {probe.stdout.strip() or probe.stderr.strip()}"
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--keep-duplicates", str(ROOT / test), str(ROOT / module)],
+                cwd=tmp, env=env, capture_output=True, text=True, timeout=MUTANT_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return TIMED_OUT
         # pytest: 1 = tests failed, 2 = errors such as a failed import
         if result.returncode in (1, 2):
             # pytest names the tests by their path from cwd, the temporary directory
@@ -248,7 +283,7 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
         return 2
     names = names or list(MUTANTS)
-    failed, begin = 0, time.perf_counter()
+    failed, timeouts, begin = 0, 0, time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="haargap-pycache-") as pycache, \
             ThreadPoolExecutor(max_workers=2) as pool:
 
@@ -258,10 +293,12 @@ def main(names: list[str]) -> int:
             return outcome, time.perf_counter() - start
 
         for name, (outcome, seconds) in zip(names, pool.map(timed, names)):
-            failed += not outcome.startswith("killed")
+            timeouts += outcome == TIMED_OUT
+            failed += not outcome.startswith("killed") and outcome != TIMED_OUT
             print(f"{seconds:5.1f} s  {name}: {outcome}", flush=True)
     total = len(names)
-    print(f"{total - failed} of {total} mutants killed in {time.perf_counter() - begin:.1f} s")
+    print(f"{total - failed} of {total} mutants detected ({total - failed - timeouts} killed, "
+          f"{timeouts} timed out) in {time.perf_counter() - begin:.1f} s")
     return 1 if failed else 0
 
 

@@ -42,6 +42,7 @@ from util import (
     apply_permutation,
     brute_force_lp_minimum,
     full_mask,
+    mask_of,
     pair_mask,
     random_permutation,
     random_trace_zero,
@@ -129,7 +130,7 @@ def test_criterion_6_support_enumeration():
         rs3 = build_type_a(3)
         got = enumerate_symmetric_closed(rs3)
         expected = {0, pair_mask(rs3, 1, 2), pair_mask(rs3, 1, 3), pair_mask(rs3, 2, 3), full_mask(rs3)}
-        assert {s.mask for s in got} == expected and len(got) == 5
+        assert {mask_of(s) for s in got} == expected and len(got) == 5
 
         rs4 = build_type_a(4)
         independent = _independent_closure_filter_count(rs4)
@@ -138,7 +139,7 @@ def test_criterion_6_support_enumeration():
         for n in range(2, 13):
             counts = {}
             for s in enumerate_block_partitions(n):
-                size = s.mask.bit_count()
+                size = mask_of(s).bit_count()
                 counts[size] = counts.get(size, 0) + 1
             for k in range(1, n + 1):
                 if n % k:

@@ -655,6 +655,21 @@ def test_weights_keyed_by_support_and_sum_to_one():
     assert all(w >= 0 for w in solution.weights.values())
 
 
+def _solve_counting_pivots(monkeypatch, n, lattice, beta, **kwargs):
+    """solve_min_haar's model, and each pivot's Fraction updates and row width."""
+    work, pivot = [], simplex._pivot
+
+    def counting(T, basis, row, col, column):
+        # Fraction updates: the pivot row's nonzero entries, in the pivot row
+        # and in every row with a nonzero entry in the pivot column
+        work.append((sum(map(bool, column)) * sum(map(bool, T[row])), len(T[row])))
+        pivot(T, basis, row, col, column)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    _, model, _ = solve_min_haar(n, lattice, beta, **kwargs)
+    return model, work
+
+
 @pytest.mark.parametrize(
     "n, lattice, beta, pivots, updates",
     [
@@ -667,17 +682,16 @@ def test_weights_keyed_by_support_and_sum_to_one():
 def test_simplex_work_counts_are_pinned(monkeypatch, n, lattice, beta, pivots, updates):
     # a count that moves is a change in the work the simplex does, whatever
     # the host's timings say: fix the regression or re-pin it as a golden
-    work, pivot = [], simplex._pivot
-
-    def counting(T, basis, row, col, column):
-        # Fraction updates: the pivot row's nonzero entries, in the pivot row
-        # and in every row with a nonzero entry in the pivot column
-        work.append((sum(map(bool, column)) * sum(map(bool, T[row])), len(T[row])))
-        pivot(T, basis, row, col, column)
-
-    monkeypatch.setattr(simplex, "_pivot", counting)
-    _, model, _ = solve_min_haar(n, lattice, beta)
+    model, work = _solve_counting_pivots(monkeypatch, n, lattice, beta)
     assert (len(work), sum(u for u, _ in work)) == (pivots, updates)
     # every row of A has a signed unit column, so phase 1 stores no artificial:
     # each row holds the group and surplus columns and the right-hand side
+    assert {width for _, width in work} == {len(model.supports) + len(model.ge_rows) + 1}
+
+
+def test_custom_direction_simplex_work_counts_are_pinned(monkeypatch):
+    # three fixed directions with no shared orbit: 52 supports at generic n = 5
+    directions = [cartan(3, 1, -4, 2, -2), cartan(1, -1, 2, -3, 1), cartan(-2, 5, 0, -1, -2)]
+    model, work = _solve_counting_pivots(monkeypatch, 5, "generic", F(2, 3), test_directions=directions)
+    assert (len(work), sum(u for u, _ in work)) == (21, 5119)
     assert {width for _, width in work} == {len(model.supports) + len(model.ge_rows) + 1}

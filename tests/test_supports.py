@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haargap import supports
 from haargap.roots import build_type_a, cartan
 from haargap.supports import (
     BlockPartitions,
@@ -22,6 +23,7 @@ from util import (
     is_admissible,
     is_symmetric_mask,
     make_support,
+    mask_of,
     pair_mask,
     root_indices,
     support_indices,
@@ -70,7 +72,7 @@ def test_a2_supports_exactly_five():
         pair_mask(rs, 2, 3),
         full_mask(rs),
     ]
-    assert [s.mask for s in got] == sorted(expected_masks, key=lambda m: (m.bit_count(), m))
+    assert [mask_of(s) for s in got] == sorted(expected_masks, key=lambda m: (m.bit_count(), m))
     assert [s.label for s in got] == ["∅", "{±α_12}", "{±α_13}", "{±α_23}", "Δ"]
     assert [s.kind for s in got] == ["empty", "pair", "pair", "pair", "full"]
 
@@ -88,7 +90,7 @@ def test_a3_supports_fifteen_with_structure():
     assert kinds.count("pair") == 6
     assert kinds.count("block-partition") == 7  # three 2+2 and four 3+1
     assert kinds.count("full") == 1
-    sizes = sorted(len(support_indices(s.mask)) for s in got)
+    sizes = sorted(len(support_indices(mask_of(s))) for s in got)
     assert sizes == [0] + [2] * 6 + [4] * 3 + [6] * 4 + [12]
 
 
@@ -101,7 +103,7 @@ def test_symmetric_closed_counts_are_bell_numbers(n, bell):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_symmetric_closed_matches_independent_filter(n):
-    got = [s.mask for s in enumerate_symmetric_closed(build_type_a(n))]
+    got = [mask_of(s) for s in enumerate_symmetric_closed(build_type_a(n))]
     assert got == independent_symmetric_closed_masks(n)
 
 
@@ -110,7 +112,7 @@ def test_enumeration_is_deterministic_and_ordered():
     a = enumerate_symmetric_closed(rs)
     b = enumerate_symmetric_closed(rs)
     assert a == b
-    keys = [(s.mask.bit_count(), s.mask) for s in a]
+    keys = [(m.bit_count(), m) for m in map(mask_of, a)]
     assert keys == sorted(keys)
     assert a[0].label == "∅" and a[-1].label == "Δ"
 
@@ -137,7 +139,7 @@ def test_block_partition_counts_match_formula(n):
     got = enumerate_block_partitions(n)
     by_block_count = {}
     for s in got:
-        per_index = len(support_indices(s.mask)) // n if s.mask else 0
+        per_index = len(support_indices(mask_of(s))) // n
         k = per_index + 1  # block size: each index sees k-1 partners, two roots each
         by_block_count[k] = by_block_count.get(k, 0) + 1
     total = 0
@@ -159,6 +161,31 @@ def test_block_partition_counts_match_formula(n):
             block_lists.setdefault(len(blocks[0]), []).append(blocks)
     for seq in block_lists.values():
         assert seq == sorted(seq)
+
+
+@pytest.mark.parametrize(
+    "walk, count, calls, yields",
+    [
+        (lambda: enumerate_symmetric_closed(build_type_a(6)), 203, 203, 674),
+        (lambda: BlockPartitions(12), 32_034, 38_077, 142_232),
+    ],
+    ids=["generic-6", "inner-12"],
+)
+def test_partition_walk_work_counts_are_pinned(monkeypatch, walk, count, calls, yields):
+    # calls: the walk's generators; yields: the partitions they pass up, summed
+    # over the recursion's levels.  A count that moves is a change in the work
+    # of the walk: fix the regression or re-pin it as a golden
+    work, partitions = [0, 0], supports._partitions
+
+    def counting(rest, sizes, prefix):
+        work[0] += 1
+        for p in partitions(rest, sizes, prefix):
+            work[1] += 1
+            yield p
+
+    monkeypatch.setattr(supports, "_partitions", counting)
+    assert sum(1 for _ in walk()) == count
+    assert tuple(work) == (calls, yields)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -202,11 +229,11 @@ def test_block_partitions_subset_of_generic(n):
     uniform = set()
     for s in enumerate_symmetric_closed(rs):
         partners = [0] * (n + 1)
-        for k in support_indices(s.mask):
+        for k in support_indices(mask_of(s)):
             partners[rs.roots[k].i] += 1
         if len(set(partners[1:])) == 1:
-            uniform.add(s.mask)
-    assert {s.mask for s in enumerate_block_partitions(n)} == uniform
+            uniform.add(mask_of(s))
+    assert {mask_of(s) for s in enumerate_block_partitions(n)} == uniform
 
 
 def test_is_admissible_examples():
@@ -249,7 +276,7 @@ def test_masks_outside_the_root_system_are_refused(mask):
 def test_closure_fixpoint():
     rs = build_type_a(4)
     for s in enumerate_symmetric_closed(rs):
-        assert closure_of(rs, s.mask) == s.mask
+        assert closure_of(rs, mask_of(s)) == mask_of(s)
     # and closures of arbitrary masks are themselves closed
     probe = pair_mask(rs, 1, 2) | pair_mask(rs, 2, 3)
     closed = closure_of(rs, probe)
@@ -264,7 +291,7 @@ def test_make_support_labels_unicode_cases():
     assert three_one.label.startswith("blocks {")
     pair = make_support(rs, pair_mask(rs, 2, 4))
     assert (pair.kind, pair.label) == ("pair", "{±α_24}")
-    assert make_support(rs, three_one.mask) == three_one
+    assert make_support(rs, mask_of(three_one)) == three_one
     two_pairs = make_support(rs, pair_mask(rs, 1, 3) | pair_mask(rs, 2, 4))
     assert (two_pairs.kind, two_pairs.label) == ("block-partition", "blocks {1,3}{2,4}")
     rs3 = build_type_a(3)

@@ -114,6 +114,19 @@ class SupportSet:
     kind: str
 
 
+def mask_of(R: Partition | SupportSet) -> int:
+    """Bitmask of R's roots over build_type_a(n)'s lexicographic root order.
+
+    A Partition's root (i, j), i != j, has bit (i-1)(n-1) + j-1 - [j > i];
+    a SupportSet carries its mask.
+    """
+    if isinstance(R, SupportSet):
+        return R.mask
+    n = sum(map(len, R))
+    pairs = (p for block in R for p in itertools.permutations(block, 2))
+    return sum(1 << (i - 1) * (n - 1) + j - 1 - (j > i) for i, j in pairs)
+
+
 def support_indices(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of a mask, ascending."""
     if mask < 0:
@@ -170,7 +183,7 @@ def make_support(rs: RootSystem, mask: int) -> Partition | SupportSet:
     for k in idx:
         partners[rs.roots[k].i].add(rs.roots[k].j)
     support = Partition(sorted({tuple(sorted(p)) for p in partners.values()}))
-    if support.mask == mask:
+    if mask_of(support) == mask:
         return support
     pos = [rs.roots[k] for k in idx if rs.roots[k].i < rs.roots[k].j]
     label = "{" + ", ".join(f"±α_{r.i}{r.j}" for r in pos) + "}"
@@ -179,8 +192,9 @@ def make_support(rs: RootSystem, mask: int) -> Partition | SupportSet:
 
 def is_admissible(rs: RootSystem, R: Partition | SupportSet) -> bool:
     """True iff R is symmetric and addition-closed."""
-    _check_mask(rs, R.mask)
-    return is_symmetric_mask(rs, R.mask) and closure_of(rs, R.mask) == R.mask
+    mask = mask_of(R)
+    _check_mask(rs, mask)
+    return is_symmetric_mask(rs, mask) and closure_of(rs, mask) == mask
 
 
 def component_entropy_cap(rs: RootSystem, R: Partition | SupportSet | int, X: CartanElement) -> Fraction:
@@ -191,7 +205,7 @@ def component_entropy_cap(rs: RootSystem, R: Partition | SupportSet | int, X: Ca
     """
     if isinstance(R, Partition) and sorted(i for block in R for i in block) != list(range(1, rs.n + 1)):
         raise ValueError(f"{R} is not a partition of 1..{rs.n}")
-    mask = R if isinstance(R, int) else R.mask
+    mask = R if isinstance(R, int) else mask_of(R)
     _check_mask(rs, mask)
     total = Fraction(0)
     for k in support_indices(mask):
