@@ -30,9 +30,8 @@ print("\nmin Haar weight, SL_3 at beta = 1/2:", min_haar_weight(3, "generic", Fr
 # SL_4 at beta = 1/2 allows zero Haar weight, but only by spreading mass
 # evenly over the four 3+1 block supports.
 _, _, solution = solve_min_haar(4, "generic", Fraction(1, 2))
-report = extremal_vertex_report(solution)
-print("\nSL_4 at beta = 1/2: optimum", report.optimum)
-for label, kind, weight in report.entries:
+print("\nSL_4 at beta = 1/2: optimum", solution.optimum)
+for label, kind, weight in extremal_vertex_report(solution):
     print(f"  {label:<22} [{kind}] weight {weight}")
 
 # Nudging beta above 1/2 forces Haar weight 2*eps.

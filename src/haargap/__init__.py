@@ -19,7 +19,6 @@ from .rigidity import (
     LPModel,
     LPSolution,
     RigidityProblem,
-    VertexReport,
     build_lp,
     default_test_directions,
     extremal_vertex_report,

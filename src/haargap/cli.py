@@ -304,7 +304,6 @@ def _cmd_haar_lp(args, inputs: dict) -> tuple[dict, list[str], int]:
     # every right-hand side has been printed above, so an unprintable one is
     # refused before the simplex runs
     solution = solve_lp(model)
-    report = extremal_vertex_report(solution)
     results = {
         "status": "optimal",
         "num_variables": num_variables,
@@ -312,7 +311,7 @@ def _cmd_haar_lp(args, inputs: dict) -> tuple[dict, list[str], int]:
         "constraints": constraints,
         "min_haar_weight": _frac(solution.optimum),
         "vertex": [{"label": label, "kind": kind, "weight": _frac(w)}
-                   for label, kind, w in report.entries],
+                   for label, kind, w in extremal_vertex_report(solution)],
         "vertex_note": VERTEX_NOTE,
     }
     lines = [

@@ -311,14 +311,15 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
     return OscillatoryDecay(hbars, tuple(mags), slope, min_speed, max_speed)
 
 
-def seeded_family_corpus(seed: int, count: int = 50, max_members: int = 12, max_dim: int = 16):
-    """The deterministic random-family corpus used by the validation suite."""
+def seeded_family_corpus(seed: int):
+    """The validation suite's deterministic corpus: 50 random Gaussian families,
+    each of 1 to 12 members with 2 to 16 rows and 2 to 16 columns."""
     rng = np.random.default_rng(seed)
     families = []
-    for _ in range(count):
-        k = int(rng.integers(1, max_members + 1))
-        rows = int(rng.integers(2, max_dim + 1))
-        cols = int(rng.integers(2, max_dim + 1))
+    for _ in range(50):
+        k = int(rng.integers(1, 13))
+        rows = int(rng.integers(2, 17))
+        cols = int(rng.integers(2, 17))
         member_seed = int(rng.integers(0, 2**31 - 1))
         families.append(MatrixFamily.random_gaussian(k, rows, cols, member_seed))
     return families
@@ -342,7 +343,7 @@ def _cotlar_checks(seed: int) -> list:
     return checks
 
 
-def run_validation_suite(seed: int = 0) -> dict:
+def run_validation_suite(seed: int) -> dict:
     """Run every numerical check once; returns a summary with per-check verdicts.
 
     The three Cotlar-Stein checks run on a worker thread while the calling

@@ -24,10 +24,10 @@ from . import simplex
 from .entropy import _scaled, entropy_lower_bound, haar_entropy
 from .roots import CartanElement, RootSystem, build_type_a, cartan, weyl_orbit
 from .supports import (
-    KIND_FULL,
     Partition,
     enumerate_block_partitions,
     enumerate_symmetric_closed,
+    render_label,
 )
 
 BOUND_HAAR_FRACTION = "haar-fraction"
@@ -100,15 +100,6 @@ class LPSolution:
 
 
 VERTEX_NOTE = "one optimal vertex among possibly many; uniqueness is not claimed"
-
-
-@dataclass(frozen=True)
-class VertexReport:
-    """The positive-weight supports of one optimal vertex among possibly many."""
-
-    optimum: Fraction
-    haar_weight: Fraction
-    entries: tuple[tuple[str, str, Fraction], ...]
 
 
 def build_lp(problem: RigidityProblem) -> LPModel:
@@ -296,9 +287,10 @@ def inner_weight_formula(n: int) -> Fraction:
     return (Fraction(n + 1, 2) - t) / (n - t)
 
 
-def extremal_vertex_report(solution: LPSolution) -> VertexReport:
-    """Positive-weight supports of a solved vertex, heaviest first."""
-    entries = [(s.label, s.kind, w) for s, w in solution.weights.items() if w > 0]
-    entries.sort(key=lambda e: (-e[2], e[0]))
-    haar_weight = sum((w for _, kind, w in entries if kind == KIND_FULL), _ZERO)
-    return VertexReport(solution.optimum, haar_weight, tuple(entries))
+def extremal_vertex_report(solution: LPSolution) -> tuple[tuple[str, str, Fraction], ...]:
+    """(label, kind, weight) of each positive-weight support of a solved vertex,
+    heaviest first, ties by label.  Δ's weight is solution.optimum."""
+    entries = [
+        (render_label(s, kind := s.kind), kind, w) for s, w in solution.weights.items() if w > 0
+    ]
+    return tuple(sorted(entries, key=lambda e: (-e[2], e[0])))

@@ -19,9 +19,9 @@ from typing import Sequence
 ROOT_SYSTEM_MAX_N = 64
 
 
-def abbreviated(text: str, width: int = 24) -> str:
-    """text, or its first `width` characters and its length when it is longer."""
-    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
+def abbreviated(text: str) -> str:
+    """text, or its first 24 characters and its length when it is longer."""
+    return text if len(text) <= 24 else f"{text[:24]}... ({len(text)} characters)"
 
 
 class CapacityError(Exception):

@@ -22,6 +22,8 @@ test modules are compiled and assert-rewritten once, not once per mutant.
 One line per mutant is printed in list order, with the first test that
 failed or the timeout, and a summary line with the timeouts and the total
 seconds; the exit code is 1 if any mutant survived or could not be applied.
+A reader that closes stdout early, such as `| head -n 1`, ends the run: no
+further mutant starts, and the exit code is 1, without a traceback.
 The repository's own files are never changed.  The file name keeps it out of
 pytest's default collection, so tier-1 does not run it.
 """
@@ -102,7 +104,7 @@ MUTANTS = {
         "cotlar_stein.py",
         "helper = pool.submit(work, spare)",
         "helper = pool.submit(work, own)",
-        "tests/test_cotlar_stein.py::test_oscillatory_zero_amplitude",
+        "tests/test_cotlar_stein.py::test_decay_check_threads_write_to_different_buffers",
     ),
     "helper.result() dropped": (
         "cotlar_stein.py",
@@ -154,6 +156,12 @@ MUTANTS = {
         "if members.ndim != 3:",
         "tests/test_cotlar_stein.py::test_matrix_family_refuses_zero_size",
     ),
+    "corpus one dimension wider": (
+        "cotlar_stein.py",
+        "        rows = int(rng.integers(2, 17))\n        cols = int(rng.integers(2, 17))\n",
+        "        rows = int(rng.integers(2, 18))\n        cols = int(rng.integers(2, 18))\n",
+        "tests/test_acceptance.py::test_criterion_8_cotlar_stein_numeric_suite",
+    ),
     "generic supports left unsorted": (
         "supports.py",
         "    found.sort(key=_roots_descending)\n",
@@ -171,6 +179,12 @@ MUTANTS = {
         "sorted(set(X.coords), reverse=True)",
         "sorted(set(X.coords))",
         "tests/test_roots.py::test_weyl_orbit_matches_permutation_oracle",
+    ),
+    "vertex entries lightest first": (
+        "rigidity.py",
+        "key=lambda e: (-e[2], e[0])",
+        "key=lambda e: (e[2], e[0])",
+        "tests/test_cli_golden.py::test_cli_output_is_byte_identical[haar-lp --n 3 --beta 2/3]",
     ),
     "haar-lp solves before it renders the constraints": (
         "cli.py",
@@ -292,13 +306,21 @@ def main(names: list[str]) -> int:
             outcome = run_mutant(*MUTANTS[name], pycache)
             return outcome, time.perf_counter() - start
 
-        for name, (outcome, seconds) in zip(names, pool.map(timed, names)):
-            timeouts += outcome == TIMED_OUT
-            failed += not outcome.startswith("killed") and outcome != TIMED_OUT
-            print(f"{seconds:5.1f} s  {name}: {outcome}", flush=True)
-    total = len(names)
-    print(f"{total - failed} of {total} mutants detected ({total - failed - timeouts} killed, "
-          f"{timeouts} timed out) in {time.perf_counter() - begin:.1f} s")
+        try:
+            for name, (outcome, seconds) in zip(names, pool.map(timed, names)):
+                timeouts += outcome == TIMED_OUT
+                failed += not outcome.startswith("killed") and outcome != TIMED_OUT
+                print(f"{seconds:5.1f} s  {name}: {outcome}", flush=True)
+            total = len(names)
+            print(f"{total - failed} of {total} mutants detected ({total - failed - timeouts} "
+                  f"killed, {timeouts} timed out) in {time.perf_counter() - begin:.1f} s", flush=True)
+        except BrokenPipeError:
+            # the reader left: start no further mutant, and point stdout at
+            # os.devnull so the interpreter's own flush at exit does not fail again
+            pool.shutdown(wait=False, cancel_futures=True)
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 1
     return 1 if failed else 0
 
 

@@ -83,14 +83,14 @@ def test_criterion_3_sl4_optimum_2eps_and_vertex():
         for eps in (F(0), F(1, 100), F(1, 20), F(1, 10)):
             assert min_haar_weight(4, "generic", F(1, 2) + eps) == 2 * eps
         _, _, solution = solve_min_haar(4, "generic", F(1, 2))
-        report = extremal_vertex_report(solution)
-        assert report.haar_weight == 0
-        assert len(report.entries) == 4
-        assert all(kind == "block-partition" and w == F(1, 4) for _, kind, w in report.entries)
+        entries = extremal_vertex_report(solution)
+        assert solution.optimum == 0
+        assert len(entries) == 4
+        assert all(kind == "block-partition" and w == F(1, 4) for _, kind, w in entries)
         three_one = {
             "blocks {1,2,3}{4}", "blocks {1,2,4}{3}", "blocks {1,3,4}{2}", "blocks {1}{2,3,4}",
         }
-        assert {label for label, _, _ in report.entries} == three_one
+        assert {label for label, _, _ in entries} == three_one
 
 
 def test_criterion_4_sl3_refined_three_halves_eps():
@@ -200,7 +200,7 @@ def test_criterion_7_lp_oracle_equivalence():
 def test_criterion_8_cotlar_stein_numeric_suite():
     with criterion(8, "50 seeded families satisfy the bound; degenerate cases tight; under 5 s"):
         start = time.perf_counter()
-        families = seeded_family_corpus(seed=0, count=50, max_members=12, max_dim=16)
+        families = seeded_family_corpus(0)
         assert len(families) == 50
         for fam in families:
             assert len(fam.members) <= 12

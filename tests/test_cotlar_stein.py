@@ -109,7 +109,7 @@ def test_cotlar_orthogonal_projectors_equality():
 
 
 def test_cotlar_random_families_hold_and_trivial_bound_reported():
-    for fam in seeded_family_corpus(seed=0, count=10):
+    for fam in seeded_family_corpus(0)[:10]:
         check = cotlar_bound_check(fam)
         assert check.holds
         assert check.lhs <= check.trivial_sum * (1.0 + TOLERANCES.bound_slack)
@@ -358,6 +358,25 @@ def test_decay_check_buffers_stay_on_the_calling_thread(phase, mirror):
     assert peaks and peaks[0] <= 64 * 1024
 
 
+def test_decay_check_threads_write_to_different_buffers(monkeypatch):
+    # each thread's first quadrature waits at a barrier until the other's has
+    # begun, so the two run at once whatever the scheduling, and each must
+    # write to a scratch buffer of its own
+    simpson_sum, barrier, buffers = cotlar_stein._simpson_sum, threading.Barrier(2, timeout=10), {}
+
+    def held(weighted, phase, h, terms, mirror):
+        if threading.get_ident() not in buffers:
+            buffers[threading.get_ident()] = terms
+            barrier.wait()
+        return simpson_sum(weighted, phase, h, terms, mirror)
+
+    monkeypatch.setattr(cotlar_stein, "_simpson_sum", held)
+    problem = OscillatoryProblem.from_functions(lambda x: x, smooth_bump, (0.1, 0.05), 2**12 + 1)
+    oscillatory_decay(problem)
+    first, second = buffers.values()
+    assert not np.shares_memory(first, second)
+
+
 def test_validation_suite_passes_and_is_seeded():
     summary = run_validation_suite(seed=0)
     assert summary["all_passed"]
@@ -466,7 +485,7 @@ def test_cotlar_cross_norms_match_per_pair_oracle():
     four = MatrixFamily.random_gaussian(4, 6, 3, seed=15).members
     with_zero = MatrixFamily(np.insert(four, 2, 0, axis=0))
     assert with_zero.members.shape == (5, 6, 3) and not with_zero.members[2].any()
-    families = seeded_family_corpus(seed=0, count=10) + [
+    families = seeded_family_corpus(0)[:10] + [
         MatrixFamily.random_gaussian(1, 7, 3, seed=11),
         MatrixFamily.random_gaussian(2, 3, 9, seed=12),
         MatrixFamily.random_gaussian(12, 10, 4, seed=13),

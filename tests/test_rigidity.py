@@ -361,11 +361,10 @@ def test_inner_weight_formula():
 
 def test_extremal_vertex_report_sl4():
     _, _, solution = solve_min_haar(4, "generic", F(1, 2))
-    report = extremal_vertex_report(solution)
-    assert report.optimum == 0
-    assert report.haar_weight == 0
-    assert len(report.entries) == 4
-    for label, kind, weight in report.entries:
+    entries = extremal_vertex_report(solution)
+    assert solution.optimum == 0
+    assert len(entries) == 4
+    for label, kind, weight in entries:
         assert kind == "block-partition"
         assert weight == F(1, 4)
         assert label.count(",") == 2  # a 3-element block plus a singleton
@@ -373,15 +372,14 @@ def test_extremal_vertex_report_sl4():
 
 def test_extremal_vertex_report_sl3_and_delta_only():
     _, _, solution = solve_min_haar(3, "generic", F(1, 2))
-    report = extremal_vertex_report(solution)
-    assert {label for label, _, _ in report.entries} == {"{±α_12}", "{±α_13}", "{±α_23}", "Δ"}
-    assert report.haar_weight == F(1, 4)
+    entries = extremal_vertex_report(solution)
+    assert {label for label, _, _ in entries} == {"{±α_12}", "{±α_13}", "{±α_23}", "Δ"}
+    assert solution.optimum == F(1, 4)
 
     rs = build_type_a(3)
     delta = make_support(rs, full_mask(rs))
     model = build_lp(RigidityProblem(rs, (delta,), default_test_directions(3), F(1, 2)))
-    report = extremal_vertex_report(solve_lp(model))
-    assert [e[0] for e in report.entries] == ["Δ"]
+    assert [e[0] for e in extremal_vertex_report(solve_lp(model))] == ["Δ"]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -481,6 +479,9 @@ def test_solve_lp_matches_brute_force_on_random_directions(beta, bound_mode, dir
     )
     assert solution.optimum == brute_force_lp_minimum(model)
     assert verify_solution(model, solution)
+    # the optimum is the Haar weight: Δ's own weight at the vertex
+    (haar_weight,) = (w for s, w in solution.weights.items() if s.kind == "full")
+    assert haar_weight == solution.optimum
 
 
 # generic n <= 5 and inner n = 4, 6, 8, each with 1 to 3 random directions
