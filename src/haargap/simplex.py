@@ -18,7 +18,8 @@ tau*e_i (tau = +-1), then, as the tableau is B^-1 times the original columns
 and the reduced costs are z = c - c_B B^-1 A, col(a_i) = tau*col(j) and
 z(a_i) = 1 + tau*z(j) at every basis.  Both are exact, so every entry the
 solver reads, and with it every pivot, is the one an explicit artificial
-column would give.  Phase 2 prices its objective out by subtracting cost
+column would give; pricing a_i reads z(j) alone, and its column is built
+only when it enters.  Phase 2 prices its objective out by subtracting cost
 times row for each basic variable with a nonzero cost.  The ratio test
 compares the ratios on integers by cross-multiplication.
 """
@@ -74,7 +75,7 @@ def _run_phase(T, basis, z, n, artificials=()):
 
     The cost row stays last in T; the constraint rows are T[:len(basis)].
     Logical column n + i is artificials[i] = (k, tau, offset): its entries
-    are tau*T[:, k], plus offset in the cost row.
+    are tau*T[:, k], plus offset in the cost row, so its price reads z[k].
     """
     T.append(z)
     rows = range(len(basis))
@@ -90,7 +91,8 @@ def _run_phase(T, basis, z, n, artificials=()):
         z = T[-1]
         # an artificial is priced only when no structural column is eligible
         col = next(chain((j for j in range(n) if z[j] < 0),
-                         (j for j in range(n, n + len(artificials)) if column(j)[-1] < 0)), None)
+                         (n + i for i, (k, tau, offset) in enumerate(artificials)
+                          if offset + tau * z[k] < 0)), None)
         if col is None:
             return STATUS_OPTIMAL
         values = column(col)
@@ -141,7 +143,7 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     z = [_negated_sum(col) for col in zip(*T)]
     z[n:-1] = [_ZERO] * len(stored)
     basis = list(range(n, n + m))
-    if _run_phase(T, basis, z, n, artificials) == STATUS_UNBOUNDED:
+    if _run_phase(T, basis, z, n, [artificials[i] for i in range(m)]) == STATUS_UNBOUNDED:
         # cannot happen: phase-1 objective is bounded below by zero
         raise RuntimeError("phase-1 simplex reported unbounded")
     if T.pop()[-1] < 0:

@@ -5,9 +5,11 @@ under root addition.  In type A such a set is exactly an equivalence relation
 on {1..n}: ±α_ij ∈ R means i ~ j, and closure under α_ik + α_kj = α_ij is
 transitivity.  So every support is the set of within-block roots of a set
 partition of {1..n}, and both enumerations walk set partitions: all of them
-for the generic lattice, those with equal-size blocks for inner forms.  The
-generic supports (at most Bell(6) = 203) come as a list sorted by their roots;
-the inner ones (32 034 at n = 12) as a lazy walk that is taken afresh on each
+for the generic lattice, those with equal-size blocks for inner forms.  Which
+positions can join the first in its block depends only on how many elements
+are left, so each walk cuts by a table built once per length.  The generic
+supports (at most Bell(6) = 203) come as a list sorted by their roots; the
+inner ones (32 034 at n = 12) as a lazy walk that is taken afresh on each
 iteration, so a reader that makes one pass never holds them all.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .roots import CapacityError, RootSystem
@@ -67,21 +70,35 @@ def _block_text(block: tuple) -> str:
     return "{" + ",".join(map(str, block)) + "}"
 
 
-def _partitions(rest: tuple, sizes, prefix: tuple):
-    """Yield prefix + each partition of rest into blocks of the given sizes.
+def _split_table(lengths, sizes) -> dict:
+    """Map each length L to its cuts into the block its first element opens,
+    of each size, and the rest: (block, rest) itemgetter pairs, partners in
+    lexicographic order, or (None, None) when the block is all L elements."""
+    table = {}
+    for length in lengths:
+        splits = table[length] = []
+        for size in sizes:
+            for partners in itertools.combinations(range(1, length), size - 1):
+                rest = [i for i in range(1, length) if i not in partners]
+                splits.append((_getter(0, *partners), _getter(*rest)) if rest else (None, None))
+    return table
 
-    The smallest unused element opens each block and `itertools.combinations`
-    picks its partners, so with one size the partitions come out in
-    lexicographic order of their block lists.
-    """
-    first, others = rest[0], rest[1:]
-    for size in sizes:
-        if size == len(rest):
+
+def _getter(*positions):
+    """An itemgetter that returns the tuple of those positions, even of one."""
+    p, *more = positions
+    return operator.itemgetter(*positions) if more else operator.itemgetter(slice(p, p + 1))
+
+
+def _partitions(rest: tuple, splits: dict, prefix: tuple):
+    """Yield prefix + each partition of rest, cut by the table of _split_table;
+    the smallest unused element opens each block, so with one size the
+    partitions come out in lexicographic order of their block lists."""
+    for block, left in splits[len(rest)]:
+        if left is None:
             yield Partition((*prefix, rest))
-            continue
-        for partners in itertools.combinations(others, size - 1):
-            left = tuple(itertools.filterfalse(partners.__contains__, others))
-            yield from _partitions(left, sizes, (*prefix, (first, *partners)))
+        else:
+            yield from _partitions(left(rest), splits, (*prefix, block(rest)))
 
 
 def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
@@ -97,7 +114,8 @@ def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
             f"root system has {npos} positive roots; generic enumeration is "
             f"limited to {GENERIC_POSITIVE_ROOT_LIMIT}"
         )
-    found = list(_partitions(tuple(range(1, rs.n + 1)), range(1, rs.n + 1), ()))
+    sizes = range(1, rs.n + 1)
+    found = list(_partitions(tuple(sizes), _split_table(sizes, sizes), ()))
     found.sort(key=_roots_descending)
     return found
 
@@ -130,7 +148,7 @@ class BlockPartitions:
         elements = tuple(range(1, self.n + 1))
         for k in range(1, self.n + 1):
             if self.n % k == 0:
-                yield from _partitions(elements, (k,), ())
+                yield from _partitions(elements, _split_table(range(k, self.n + 1, k), (k,)), ())
 
     def __len__(self) -> int:
         n, f = self.n, math.factorial

@@ -22,19 +22,24 @@ test modules are compiled and assert-rewritten once, not once per mutant.
 One line per mutant is printed in list order, with the first test that
 failed or the timeout, and a summary line with the timeouts and the total
 seconds; the exit code is 1 if any mutant survived or could not be applied.
-A reader that closes stdout early, such as `| head -n 1`, ends the run: no
-further mutant starts, and the exit code is 1, without a traceback.
+A reader that closes stdout early, such as `| head -n 1`, ends the run at
+once: no further mutant starts, the pytest runs already going are killed with
+their process groups, and the exit code is 1, without a traceback.
 The repository's own files are never changed.  The file name keeps it out of
 pytest's default collection, so tier-1 does not run it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import select
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -68,6 +73,12 @@ MUTANTS = {
         "[offset + tau * T[-1][k]]",
         "[offset - tau * T[-1][k]]",
         "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
+    ),
+    "tau flipped in an artificial's priced reduced cost": (
+        "simplex.py",
+        "if offset + tau * z[k] < 0)",
+        "if offset - tau * z[k] < 0)",
+        "tests/test_simplex.py::test_an_artificial_read_off_a_unit_column_reenters",
     ),
     "build_lp lane one bit short": (
         "rigidity.py",
@@ -252,7 +263,63 @@ MUTANTS = {
 }
 
 
-def run_mutant(filename: str, old: str, new: str, test: str, pycache: str) -> str:
+class Stopped(Exception):
+    """The run stopped before this subprocess could start."""
+
+
+class Children:
+    """The subprocesses of one run: each in its own process group, which is
+    killed on its timeout or when the run stops; once stopped, none starts."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.running: set[subprocess.Popen] = set()
+        self.stopped = False
+
+    def run(self, args: list[str], **kwargs) -> subprocess.CompletedProcess:
+        """subprocess.run(args, capture_output=True, text=True,
+        timeout=MUTANT_TIMEOUT_S, **kwargs), but stoppable."""
+        with self.lock:
+            if self.stopped:
+                raise Stopped
+            proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, start_new_session=True, **kwargs)
+            self.running.add(proc)
+        try:
+            out, err = proc.communicate(timeout=MUTANT_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+        finally:
+            with self.lock:
+                self.running.discard(proc)
+        return subprocess.CompletedProcess(args, proc.returncode, out, err)
+
+    def stop(self) -> None:
+        with self.lock:
+            self.stopped = True
+            for proc in self.running:
+                # one that has just ended may be reaped already
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
+
+def stop_when_reader_leaves(children: Children) -> None:
+    """Stop the run's children once the reader of stdout closes its pipe.
+
+    poll reports POLLERR on a pipe's write end once its read end is closed,
+    asked for or not, so waiting for no event blocks until the reader
+    leaves, and for good while stdout is a file or an open terminal or pipe.
+    """
+    poller = select.poll()
+    poller.register(sys.stdout.fileno(), 0)
+    poller.poll()
+    children.stop()
+
+
+def run_mutant(filename: str, old: str, new: str, test: str, pycache: str,
+               children: Children) -> str:
     """'killed' and the first failing test, TIMED_OUT, 'SURVIVED', or why it
     did not run; bytecode is written only under pycache."""
     with tempfile.TemporaryDirectory(prefix="haargap-mutant-") as tmp:
@@ -269,19 +336,20 @@ def run_mutant(filename: str, old: str, new: str, test: str, pycache: str) -> st
         # without --keep-duplicates pytest folds the test into its module's order
         module = test.split("::")[0]
         try:
-            probe = subprocess.run(
-                [sys.executable, "-c", "import haargap; print(haargap.__file__)"],
-                env=env, capture_output=True, text=True, timeout=MUTANT_TIMEOUT_S,
+            probe = children.run(
+                [sys.executable, "-c", "import haargap; print(haargap.__file__)"], env=env,
             )
             if not probe.stdout.startswith(str(src)):
                 return f"NOT APPLIED: haargap imports from {probe.stdout.strip() or probe.stderr.strip()}"
-            result = subprocess.run(
+            result = children.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                  "--keep-duplicates", str(ROOT / test), str(ROOT / module)],
-                cwd=tmp, env=env, capture_output=True, text=True, timeout=MUTANT_TIMEOUT_S,
+                cwd=tmp, env=env,
             )
         except subprocess.TimeoutExpired:
             return TIMED_OUT
+        except Stopped:
+            return "NOT RUN: the run stopped"
         # pytest: 1 = tests failed, 2 = errors such as a failed import
         if result.returncode in (1, 2):
             # pytest names the tests by their path from cwd, the temporary directory
@@ -298,12 +366,15 @@ def main(names: list[str]) -> int:
         return 2
     names = names or list(MUTANTS)
     failed, timeouts, begin = 0, 0, time.perf_counter()
+    children = Children()
+    if hasattr(select, "poll"):
+        threading.Thread(target=stop_when_reader_leaves, args=(children,), daemon=True).start()
     with tempfile.TemporaryDirectory(prefix="haargap-pycache-") as pycache, \
             ThreadPoolExecutor(max_workers=2) as pool:
 
         def timed(name: str) -> tuple[str, float]:
             start = time.perf_counter()
-            outcome = run_mutant(*MUTANTS[name], pycache)
+            outcome = run_mutant(*MUTANTS[name], pycache, children)
             return outcome, time.perf_counter() - start
 
         try:
@@ -315,9 +386,11 @@ def main(names: list[str]) -> int:
             print(f"{total - failed} of {total} mutants detected ({total - failed - timeouts} "
                   f"killed, {timeouts} timed out) in {time.perf_counter() - begin:.1f} s", flush=True)
         except BrokenPipeError:
-            # the reader left: start no further mutant, and point stdout at
-            # os.devnull so the interpreter's own flush at exit does not fail again
+            # the reader left: start no further mutant, kill the pytest runs
+            # already going, and point stdout at os.devnull so the
+            # interpreter's own flush at exit does not fail again
             pool.shutdown(wait=False, cancel_futures=True)
+            children.stop()
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
             return 1

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import haargap.simplex as simplex
+from haargap.rigidity import BOUND_HAAR_FRACTION, BOUND_MODES, solve_min_haar
 from haargap.simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -17,7 +18,12 @@ from haargap.simplex import (
     SimplexResult,
     solve_standard_form,
 )
-from util import brute_force_standard_form, explicit_artificial_standard_form, row_rank
+from util import (
+    brute_force_standard_form,
+    explicit_artificial_standard_form,
+    random_trace_zero,
+    row_rank,
+)
 
 
 def test_empty_lp_is_the_empty_vertex():
@@ -237,11 +243,11 @@ def _unit_signs(A, b):
 
 
 def _recorded_pivots(monkeypatch):
-    """The (entering column, stored row width) of every pivot the simplex makes from now on."""
+    """The (row, entering column, stored row width) of every pivot the simplex makes from now on."""
     pivots, pivot = [], simplex._pivot
 
     def recording(T, basis, row, col, column):
-        pivots.append((col, len(T[row])))
+        pivots.append((row, col, len(T[row])))
         pivot(T, basis, row, col, column)
 
     monkeypatch.setattr(simplex, "_pivot", recording)
@@ -265,7 +271,7 @@ def test_derived_artificials_match_explicit_reference_on_a_seeded_sweep(monkeypa
         results.append(solve_standard_form(A, b, c))
         assert results[-1] == explicit_artificial_standard_form(A, b, c)
         # an artificial (index >= n) enters only in phase 1, after leaving
-        reentries += any(col >= len(A[0]) for col, _ in pivots)
+        reentries += any(col >= len(A[0]) for _, col, _ in pivots)
     # slack and surplus columns, negated rows among them, rows with two unit
     # columns and with none, dropped redundant rows, and re-entering artificials
     rows = [(bi, signs) for A, b, _ in corpus for bi, signs in zip(b, _unit_signs(A, b))]
@@ -297,5 +303,46 @@ def test_an_artificial_read_off_a_unit_column_reenters(monkeypatch):
     res = solve_standard_form(A, b, c)
     assert res == explicit_artificial_standard_form(A, b, c)
     assert res.status == STATUS_INFEASIBLE
-    assert 7 + 1 in [col for col, _ in pivots]
-    assert {width for _, width in pivots} == {7 + 1}
+    assert 7 + 1 in [col for _, col, _ in pivots]
+    assert {width for _, _, width in pivots} == {7 + 1}
+
+
+_PIPELINE_BETAS = (F(1, 3), F(1, 2), F(2, 3), F(1))
+
+
+def _pipeline_cases():
+    """solve_min_haar's (n, lattice, beta, bound mode, directions) for 95 pipeline LPs.
+
+    The default directions at generic n = 3..5 for every beta above in both
+    bound modes, generic n = 6 and inner n = 3..12 at beta = 1/2, and 60
+    seeded custom-direction LPs at generic n = 4..5 with 1 to 4 directions.
+    """
+    cases = [(n, "generic", beta, mode, None)
+             for n in (3, 4, 5) for beta in _PIPELINE_BETAS for mode in BOUND_MODES]
+    cases.append((6, "generic", F(1, 2), BOUND_HAAR_FRACTION, None))
+    cases += [(n, "inner", F(1, 2), BOUND_HAAR_FRACTION, None) for n in range(3, 13)]
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(4, 5)
+        directions = [random_trace_zero(rng, n) for _ in range(rng.randint(1, 4))]
+        cases.append((n, "generic", rng.choice(_PIPELINE_BETAS), rng.choice(BOUND_MODES), directions))
+    return cases
+
+
+# sha256 of each pipeline LP's (row, entering column) pivot sequence, one LP
+# a line: a rewrite of pricing or of the pivot that claims the same pivots
+# must leave it as it is
+PIVOT_PATH_DIGEST = "94baca95a78b922fa1ec2c4885fecce4e8bf5274ff5ea845eca3ade72e3b19a7"
+PIVOT_PATH_PIVOTS = 1618
+
+
+def test_pipeline_pivot_path_is_pinned(monkeypatch):
+    pivots = _recorded_pivots(monkeypatch)
+    lines, total = [], 0
+    for n, lattice, beta, mode, directions in _pipeline_cases():
+        del pivots[:]
+        solve_min_haar(n, lattice, beta, bound_mode=mode, test_directions=directions)
+        lines.append(repr([(row, col) for row, col, _ in pivots]))
+        total += len(pivots)
+    assert (len(lines), total) == (95, PIVOT_PATH_PIVOTS)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PIVOT_PATH_DIGEST

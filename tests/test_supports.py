@@ -25,6 +25,7 @@ from util import (
     make_support,
     mask_of,
     pair_mask,
+    recursive_partitions,
     root_indices,
     support_indices,
 )
@@ -177,15 +178,35 @@ def test_partition_walk_work_counts_are_pinned(monkeypatch, walk, count, calls, 
     # of the walk: fix the regression or re-pin it as a golden
     work, partitions = [0, 0], supports._partitions
 
-    def counting(rest, sizes, prefix):
+    def counting(rest, splits, prefix):
         work[0] += 1
-        for p in partitions(rest, sizes, prefix):
+        for p in partitions(rest, splits, prefix):
             work[1] += 1
             yield p
 
     monkeypatch.setattr(supports, "_partitions", counting)
     assert sum(1 for _ in walk()) == count
     assert tuple(work) == (calls, yields)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_block_partition_walk_matches_the_recursive_oracle(n):
+    elements = tuple(range(1, n + 1))
+    oracle = [p for k in range(1, n + 1) if n % k == 0
+              for p in recursive_partitions(elements, (k,), ())]
+    got = list(BlockPartitions(n))
+    assert got == oracle
+    assert all(type(p) is supports.Partition for p in got)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generic_partition_walk_matches_the_recursive_oracle(n):
+    sizes = range(1, n + 1)
+    oracle = list(recursive_partitions(tuple(sizes), sizes, ()))
+    walk = supports._partitions(tuple(sizes), supports._split_table(sizes, sizes), ())
+    assert list(walk) == oracle
+    oracle.sort(key=supports._roots_descending)
+    assert enumerate_symmetric_closed(build_type_a(n)) == oracle
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -1,5 +1,6 @@
 """Shared test helpers: random exact data, mask-based support oracles, the
-root-by-root entropy oracles and the brute-force LP oracles.
+recursive partition-walk oracle, the root-by-root entropy oracles and the
+brute-force LP oracles.
 
 The support oracles work on bitmasks over build_type_a(n)'s root order, a
 representation the program does not use: it reads supports only as Partition
@@ -125,6 +126,25 @@ def mask_of(R: Partition | SupportSet) -> int:
     n = sum(map(len, R))
     pairs = (p for block in R for p in itertools.permutations(block, 2))
     return sum(1 << (i - 1) * (n - 1) + j - 1 - (j > i) for i, j in pairs)
+
+
+def recursive_partitions(rest: tuple, sizes, prefix: tuple):
+    """Yield prefix + each partition of rest into blocks of the given sizes.
+
+    The oracle of the production walk, which cuts by a table of positions
+    per length: here the smallest unused element opens each block and
+    `itertools.combinations` picks its partners among the elements at every
+    node, so with one size the partitions come out in lexicographic order of
+    their block lists.
+    """
+    first, others = rest[0], rest[1:]
+    for size in sizes:
+        if size == len(rest):
+            yield Partition((*prefix, rest))
+            continue
+        for partners in itertools.combinations(others, size - 1):
+            left = tuple(itertools.filterfalse(partners.__contains__, others))
+            yield from recursive_partitions(left, sizes, (*prefix, (first, *partners)))
 
 
 def support_indices(mask: int) -> tuple[int, ...]:
