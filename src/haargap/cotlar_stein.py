@@ -89,7 +89,6 @@ class CotlarCheck:
     R2: float
     lhs: float
     holds: bool
-    trivial_sum: float
 
 
 def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
@@ -97,8 +96,7 @@ def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
 
     R1 and R2 are the worst row sums of the square-rooted cross norms; `holds`
     records whether the norm of the summed family stays below max(R1, R2) up
-    to the configured slack.  The much cruder triangle-inequality bound is
-    reported alongside for comparison.
+    to the configured slack.
     """
     members = family.members
     rows, cols = family.shape
@@ -127,7 +125,7 @@ def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
         row_sums.append(float(table.sum(axis=1).max()))
     R1, R2 = row_sums
     holds = lhs <= max(R1, R2) * (1.0 + TOLERANCES.bound_slack)
-    return CotlarCheck(R1, R2, lhs, holds, float(member_norms.sum()))
+    return CotlarCheck(R1, R2, lhs, holds)
 
 
 def orthogonal_projector_family(num_blocks: int, block_size: int) -> MatrixFamily:
@@ -184,22 +182,16 @@ class OscillatoryProblem:
         object.__setattr__(self, "hbar_values", hbars)
 
     @classmethod
-    def from_functions(
-        cls,
-        phase_fn,
-        amplitude_fn,
-        hbar_values=None,
-        num_points: int = 2**17 + 1,
-    ) -> "OscillatoryProblem":
-        if hbar_values is None:
-            hbar_values = tuple(np.logspace(-1, -3, 9))
-        grid = np.linspace(-1.0, 1.0, num_points)
-        return cls(grid, phase_fn(grid), amplitude_fn(grid), tuple(hbar_values))
+    def from_functions(cls, phase_fn, amplitude_fn) -> "OscillatoryProblem":
+        """Both functions sampled at 2^17 + 1 points of [-1, 1], with 9 log-spaced h from 1e-1 to 1e-3."""
+        grid = np.linspace(-1.0, 1.0, 2**17 + 1)
+        return cls(grid, phase_fn(grid), amplitude_fn(grid), tuple(np.logspace(-1, -3, 9)))
 
 
 @dataclass(frozen=True)
 class OscillatoryDecay:
-    hbar_values: tuple
+    """|I_h| for each h of the problem's ladder, in order, and their log-log slope."""
+
     magnitudes: tuple
     fitted_slope: float
     min_phase_speed: float
@@ -308,7 +300,7 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
         slope = float(((xs - xbar) * (ys - ys.mean())).sum() / ((xs - xbar) ** 2).sum())
     else:
         slope = float("nan")
-    return OscillatoryDecay(hbars, tuple(mags), slope, min_speed, max_speed)
+    return OscillatoryDecay(tuple(mags), slope, min_speed, max_speed)
 
 
 def seeded_family_corpus(seed: int):

@@ -32,12 +32,16 @@ class LyapunovSpectrum:
     """Non-negative exponents of a dominantized direction, sorted ascending."""
 
     values: tuple[Fraction, ...]
-    chi_max: Fraction
     direction: CartanElement
 
     @property
     def J(self) -> int:
         return len(self.values)
+
+    @property
+    def chi_max(self) -> Fraction:
+        """The top exponent, 0 for an empty spectrum."""
+        return self.values[-1] if self.values else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,11 @@ class FastSlowSplit:
     threshold: Fraction
     slow_indices: tuple[int, ...]
     fast_indices: tuple[int, ...]
-    J0: int
     dispersive_exponent: Fraction
+
+    @property
+    def J0(self) -> int:
+        return len(self.slow_indices)
 
 
 def _scaled(rs: RootSystem, X: CartanElement) -> tuple[list[int], int]:
@@ -74,8 +81,7 @@ def lyapunov_spectrum(rs: RootSystem, X: CartanElement) -> LyapunovSpectrum:
     """
     x, d = _scaled(rs, X)
     values = tuple(Fraction(v, d) for v in sorted(abs(a - b) for a, b in combinations(x, 2)))
-    chi_max = values[-1] if values else Fraction(0)
-    return LyapunovSpectrum(values, chi_max, dominant_representative(X))
+    return LyapunovSpectrum(values, dominant_representative(X))
 
 
 def haar_entropy(rs: RootSystem, X: CartanElement) -> Fraction:
@@ -117,4 +123,4 @@ def fast_slow_split(spec: LyapunovSpectrum, K) -> FastSlowSplit:
     slow = tuple(i for i, v in enumerate(spec.values) if v < threshold)
     fast = tuple(i for i, v in enumerate(spec.values) if v >= threshold)
     exponent = sum((K * spec.values[i] - Fraction(1, 2) for i in fast), Fraction(0))
-    return FastSlowSplit(threshold, slow, fast, len(slow), exponent)
+    return FastSlowSplit(threshold, slow, fast, exponent)

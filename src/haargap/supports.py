@@ -7,7 +7,8 @@ transitivity.  So every support is the set of within-block roots of a set
 partition of {1..n}, and both enumerations walk set partitions: all of them
 for the generic lattice, those with equal-size blocks for inner forms.  Which
 positions can join the first in its block depends only on how many elements
-are left, so each walk cuts by a table built once per length.  The generic
+are left, so a walk cuts by a table of splits per length, built on the first
+walk with its lengths and block sizes and kept for later ones.  The generic
 supports (at most Bell(6) = 203) come as a list sorted by their roots; the
 inner ones (32 034 at n = 12) as a lazy walk that is taken afresh on each
 iteration, so a reader that makes one pass never holds them all.
@@ -70,6 +71,7 @@ def _block_text(block: tuple) -> str:
     return "{" + ",".join(map(str, block)) + "}"
 
 
+@functools.cache  # the enumeration limits on n bound the (lengths, sizes) keys
 def _split_table(lengths, sizes) -> dict:
     """Map each length L to its cuts into the block its first element opens,
     of each size, and the rest: (block, rest) itemgetter pairs, partners in

@@ -67,12 +67,13 @@ MUTANTS = {
         "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
     ),
     # the wrong reduced cost makes phase 1 cycle on some LPs of the pinned
-    # corpus, so the named test never ends and the mutant times out
+    # corpus; the named test checks each pivot as it is made, so it fails at
+    # the first wrong one instead
     "tau flipped in a derived artificial's reduced cost": (
         "simplex.py",
         "[offset + tau * T[-1][k]]",
         "[offset - tau * T[-1][k]]",
-        "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
+        "tests/test_simplex.py::test_a_reentering_derived_artificial_takes_each_reference_pivot",
     ),
     "tau flipped in an artificial's priced reduced cost": (
         "simplex.py",
@@ -244,6 +245,12 @@ MUTANTS = {
         "                os.dup2(devnull.fileno(), sys.stdout.fileno())\n",
         "                pass\n",
         "tests/test_cli.py::test_stdout_on_a_full_device_is_invalid_input",
+    ),
+    "split tables built afresh on each walk": (
+        "supports.py",
+        "@functools.cache  # the enumeration limits on n bound the (lengths, sizes) keys\n",
+        "@functools.lru_cache(maxsize=0)\n",
+        "tests/test_supports.py::test_a_second_walk_builds_no_split_table",
     ),
     "BlockPartitions without its limit check": (
         "supports.py",

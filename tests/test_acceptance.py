@@ -223,12 +223,12 @@ def test_criterion_8_cotlar_stein_numeric_suite():
 def test_criterion_9_oscillatory_slopes():
     with criterion(9, "non-stationary slope ≥ 2.0; stationary control slope in [0.4, 0.6]"):
         hbars = tuple(float(h) for h in np.logspace(-1, -3, 9))
-        nonstationary = oscillatory_decay(
-            OscillatoryProblem.from_functions(lambda x: x, smooth_bump, hbar_values=hbars)
-        )
+        problem = OscillatoryProblem.from_functions(lambda x: x, smooth_bump)
+        assert problem.hbar_values == hbars
+        nonstationary = oscillatory_decay(problem)
         assert min(hbars) >= 1e-3 and max(hbars) <= 1e-1
         assert nonstationary.fitted_slope >= 2.0
         stationary = oscillatory_decay(
-            OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump, hbar_values=hbars)
+            OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump)
         )
         assert 0.4 <= stationary.fitted_slope <= 0.6

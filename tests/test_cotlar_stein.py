@@ -24,6 +24,18 @@ from haargap.cotlar_stein import (
 )
 from util import sequential_validation_suite
 
+DEFAULT_LADDER = tuple(np.logspace(-1, -3, 9))
+
+
+def _svd_norm(M):
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _problem_on(num_points, phase_fn, amplitude_fn, hbar_values=DEFAULT_LADDER):
+    """The problem from_functions builds, on num_points points of [-1, 1] and any ladder."""
+    grid = np.linspace(-1, 1, num_points)
+    return OscillatoryProblem(grid, phase_fn(grid), amplitude_fn(grid), hbar_values)
+
 
 def test_matrix_family_validation():
     with pytest.raises(ValueError):
@@ -87,41 +99,50 @@ def test_cotlar_single_member_is_tight():
     assert check.holds
     assert check.lhs == pytest.approx(check.R1, rel=TOLERANCES.equality_tol)
     assert check.lhs == pytest.approx(check.R2, rel=TOLERANCES.equality_tol)
-    assert check.lhs == pytest.approx(check.trivial_sum, rel=TOLERANCES.equality_tol)
+    assert check.lhs == pytest.approx(_svd_norm(fam.members[0]), rel=TOLERANCES.equality_tol)
 
 
 @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5)], ids=["tall", "wide", "square"])
 def test_cotlar_single_member_is_tight_exactly(shape):
     # the sum of one member is that member, normed in the same eigensolve
     for seed in range(8):
-        check = cotlar_bound_check(MatrixFamily.random_gaussian(1, *shape, seed))
-        assert check.lhs == max(check.R1, check.R2) == check.trivial_sum
+        family = MatrixFamily.random_gaussian(1, *shape, seed)
+        check = cotlar_bound_check(family)
+        assert check.lhs == max(check.R1, check.R2)
+        assert check.lhs == pytest.approx(_svd_norm(family.members[0]), rel=1e-12)
 
 
 def test_cotlar_orthogonal_projectors_equality():
-    check = cotlar_bound_check(orthogonal_projector_family(4, 2))
+    family = orthogonal_projector_family(4, 2)
+    check = cotlar_bound_check(family)
     assert check.holds
     assert check.R1 == pytest.approx(1.0, abs=TOLERANCES.equality_tol)
     assert check.R2 == pytest.approx(1.0, abs=TOLERANCES.equality_tol)
     assert check.lhs == pytest.approx(1.0, abs=TOLERANCES.equality_tol)
-    # the triangle-inequality bound is far cruder here
-    assert check.trivial_sum == pytest.approx(4.0, abs=1e-9)
+    # the triangle-inequality bound, the sum of the member norms, is far cruder here
+    assert sum(map(_svd_norm, family.members)) == pytest.approx(4.0, abs=1e-9)
 
 
-def test_cotlar_random_families_hold_and_trivial_bound_reported():
+def test_cotlar_random_families_hold_within_the_triangle_bound():
     for fam in seeded_family_corpus(0)[:10]:
         check = cotlar_bound_check(fam)
         assert check.holds
-        assert check.lhs <= check.trivial_sum * (1.0 + TOLERANCES.bound_slack)
+        assert check.lhs <= sum(map(_svd_norm, fam.members)) * (1.0 + TOLERANCES.bound_slack)
 
 
 def test_oscillatory_zero_amplitude():
-    problem = OscillatoryProblem.from_functions(
-        lambda x: x, lambda x: np.zeros_like(x), num_points=2**12 + 1
-    )
+    problem = _problem_on(2**12 + 1, lambda x: x, np.zeros_like)
     decay = oscillatory_decay(problem)
     assert all(m == 0.0 for m in decay.magnitudes)
     assert math.isnan(decay.fitted_slope)
+
+
+def test_from_functions_samples_the_default_grid_and_ladder():
+    built = OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump)
+    expected = _problem_on(2**17 + 1, lambda x: x**2 / 2.0, smooth_bump)
+    for name in ("grid", "phase", "amplitude"):
+        assert getattr(built, name).tobytes() == getattr(expected, name).tobytes()
+    assert built.hbar_values == expected.hbar_values
 
 
 def test_oscillatory_nonstationary_phase_decays_fast():
@@ -151,7 +172,7 @@ def test_nonstationary_beats_stationary_slope():
 
 def test_oscillatory_resolution_guard():
     # 257 points cannot resolve oscillations at hbar = 1e-3
-    problem = OscillatoryProblem.from_functions(lambda x: x, smooth_bump, num_points=257)
+    problem = _problem_on(257, lambda x: x, smooth_bump)
     with pytest.raises(ValueError, match="points per period"):
         oscillatory_decay(problem)
 
@@ -231,23 +252,12 @@ def _perturbed_even_phase(x):
     [
         (OscillatoryProblem.from_functions(lambda x: x, smooth_bump), True),
         (OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump), True),
-        (
-            OscillatoryProblem.from_functions(
-                lambda x: np.sin(3 * x),
-                smooth_bump,
-                hbar_values=(0.2, 0.1, 0.05),
-                num_points=2**10 + 1,
-            ),
-            None,
-        ),
+        (_problem_on(2**10 + 1, lambda x: np.sin(3 * x), smooth_bump, (0.2, 0.1, 0.05)), None),
         # short quadratures on a long ladder, so that the helper thread and the
         # calling thread each claim some of them, and not the same ones each call
         (
-            OscillatoryProblem.from_functions(
-                lambda x: np.sin(3 * x),
-                smooth_bump,
-                hbar_values=tuple(np.geomspace(0.2, 0.05, 40)),
-                num_points=2**10 + 1,
+            _problem_on(
+                2**10 + 1, lambda x: np.sin(3 * x), smooth_bump, tuple(np.geomspace(0.2, 0.05, 40))
             ),
             None,
         ),
@@ -257,18 +267,8 @@ def _perturbed_even_phase(x):
         (OscillatoryProblem.from_functions(np.zeros_like, smooth_bump), True),
         # the smallest grids: a one-entry tail, and a two-entry tail of which
         # one entry has a nonzero amplitude
-        (
-            OscillatoryProblem.from_functions(
-                lambda x: x, smooth_bump, hbar_values=(8.0, 4.0), num_points=3
-            ),
-            True,
-        ),
-        (
-            OscillatoryProblem.from_functions(
-                lambda x: x, smooth_bump, hbar_values=(4.0, 2.0), num_points=5
-            ),
-            True,
-        ),
+        (_problem_on(3, lambda x: x, smooth_bump, (8.0, 4.0)), True),
+        (_problem_on(5, lambda x: x, smooth_bump, (4.0, 2.0)), True),
     ],
     ids=[
         "nonstationary", "stationary", "short-grid", "long-ladder", "asymmetric",
@@ -371,7 +371,7 @@ def test_decay_check_threads_write_to_different_buffers(monkeypatch):
         return simpson_sum(weighted, phase, h, terms, mirror)
 
     monkeypatch.setattr(cotlar_stein, "_simpson_sum", held)
-    problem = OscillatoryProblem.from_functions(lambda x: x, smooth_bump, (0.1, 0.05), 2**12 + 1)
+    problem = _problem_on(2**12 + 1, lambda x: x, smooth_bump, (0.1, 0.05))
     oscillatory_decay(problem)
     first, second = buffers.values()
     assert not np.shares_memory(first, second)
@@ -472,10 +472,6 @@ def test_validation_suite_joins_every_executor_it_starts(monkeypatch):
     assert len(started) == 3 and all(e.joined for e in started)
 
 
-def _svd_norm(M):
-    return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
 def test_cotlar_cross_norms_match_per_pair_oracle():
     # QR-reduced Gram eigenvalues over the pairs a < b, and the summed family's
     # Gram eigenvalue, against one full SVD per ordered pair and of the sum, on
@@ -508,7 +504,6 @@ def test_cotlar_cross_norms_match_per_pair_oracle():
         assert check.R1 == pytest.approx(R1, rel=1e-12)
         assert check.R2 == pytest.approx(R2, rel=1e-12)
         assert check.lhs == pytest.approx(lhs, rel=1e-12)
-        assert check.trivial_sum == pytest.approx(sum(map(_svd_norm, members)), rel=1e-12)
         assert check.holds == (lhs <= max(R1, R2) * (1.0 + TOLERANCES.bound_slack))
         assert check.holds
     assert {-1, 0, 1} <= signs

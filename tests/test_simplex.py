@@ -307,6 +307,35 @@ def test_an_artificial_read_off_a_unit_column_reenters(monkeypatch):
     assert {width for _, _, width in pivots} == {7 + 1}
 
 
+def test_a_reentering_derived_artificial_takes_each_reference_pivot(monkeypatch):
+    # a_3 is read off row 3's surplus column 4 (tau = -1) and re-enters at the
+    # fourth pivot.  Each pivot is checked against the explicit reference as
+    # it is made, so a wrong entry in the entering column, its reduced cost
+    # included, fails at the first pivot it changes, here the fifth, instead
+    # of letting phase 1 cycle
+    A = [[F(v) for v in row.split()] for row in (
+        "0 1 0 -1/2 0 0 0 1/3 0",
+        "0 -1/2 0 1 0 1 1 1 -1",
+        "-1 1 -1 2 0 0 0 -3/2 3",
+        "0 1/3 0 -1/2 -1 0 0 0 -1/2",
+    )]
+    b, c = [F(1), F(-4), F(4), F(0)], [F(v) for v in (-2, 2, 1, -2, 0, -2, 1, -2, 3)]
+    assert _unit_signs(A, b) == [[], [-1, -1], [-1, -1], [-1]]
+    reference = []
+    expected = explicit_artificial_standard_form(A, b, c, pivots=reference)
+    assert reference == [(3, 1), (0, 3), (0, 8), (2, 9 + 3), (1, 0)]
+    made, pivot = [], simplex._pivot
+
+    def checked(T, basis, row, col, column):
+        assert reference[len(made):len(made) + 1] == [(row, col)], f"pivot {len(made)} is {(row, col)}"
+        made.append((row, col))
+        pivot(T, basis, row, col, column)
+
+    monkeypatch.setattr(simplex, "_pivot", checked)
+    assert solve_standard_form(A, b, c) == expected
+    assert expected.status == STATUS_INFEASIBLE and made == reference
+
+
 _PIPELINE_BETAS = (F(1, 3), F(1, 2), F(2, 3), F(1))
 
 

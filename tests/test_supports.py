@@ -216,6 +216,15 @@ def test_block_partitions_len_is_the_walk_length_and_each_walk_repeats(n):
     assert list(walk) == list(walk)
 
 
+def test_a_second_walk_builds_no_split_table():
+    # the tables depend only on the lengths and block sizes, so they are
+    # built once and every later walk of the same n reads them
+    first = list(BlockPartitions(9))
+    misses = supports._split_table.cache_info().misses
+    assert list(BlockPartitions(9)) == first
+    assert supports._split_table.cache_info().misses == misses
+
+
 def test_block_partitions_input_validation():
     with pytest.raises(ValueError):
         enumerate_block_partitions(1)

@@ -239,8 +239,11 @@ def lyapunov_spectrum(rs: RootSystem, X: CartanElement) -> LyapunovSpectrum:
     """Positive-root exponents of the dominant representative of X, one per root."""
     Xd = dominant_representative(X)
     values = sorted(evaluate_root(rs, rs.roots[k], Xd) for k in rs.positive_indices)
-    chi_max = values[-1] if values else Fraction(0)
-    return LyapunovSpectrum(tuple(values), chi_max, Xd)
+    # the top exponent over every root, against the spectrum's own reading
+    chi_max = max((evaluate_root(rs, root, Xd) for root in rs.roots), default=Fraction(0))
+    spec = LyapunovSpectrum(tuple(values), Xd)
+    assert spec.chi_max == chi_max
+    return spec
 
 
 def haar_entropy(rs: RootSystem, X: CartanElement) -> Fraction:
@@ -400,14 +403,15 @@ def brute_force_standard_form(A, b, c):
     return ("infeasible", None) if best is None else ("optimal", best)
 
 
-def explicit_artificial_standard_form(A, b, c) -> SimplexResult:
+def explicit_artificial_standard_form(A, b, c, pivots=None) -> SimplexResult:
     """solve_standard_form as it was with one stored artificial column per row.
 
     The reference for the production solver, which reads an artificial off a
     signed unit column of its row instead: the same two phases, Bland's rule
     and ratio test, on a tableau [A | I | b] whose artificial columns are
     always stored and pivoted.  Only the arithmetic is repeated here, not
-    shared, so an error in the derived columns cannot hide in both.
+    shared, so an error in the derived columns cannot hide in both.  A list
+    passed as pivots gets the (row, column) of each pivot, in order.
     """
     zero, one = Fraction(0), Fraction(1)
     m, n = len(A), len(A[0]) if A else 0
@@ -418,6 +422,8 @@ def explicit_artificial_standard_form(A, b, c) -> SimplexResult:
         return SimplexResult(STATUS_OPTIMAL, (), zero, ())
 
     def pivot(T, basis, row, col):
+        if pivots is not None:
+            pivots.append((row, col))
         prow = T[row] = [v / T[row][col] for v in T[row]]
         for i, ti in enumerate(T):
             if i != row and ti[col]:
