@@ -26,7 +26,6 @@ from .rigidity import (
     inner_weight_formula,
     lattice_supports,
     min_haar_weight,
-    rigidity_problem,
     solve_lp,
     solve_min_haar,
     verify_solution,

@@ -33,12 +33,12 @@ from .rigidity import (
     LATTICE_GENERIC,
     LATTICE_INNER,
     VERTEX_NOTE,
+    RigidityProblem,
     build_lp,
     extremal_vertex_report,
     inner_weight_formula,
     lattice_supports,
     min_haar_weight,
-    rigidity_problem,
     solve_lp,
 )
 from .roots import (
@@ -288,8 +288,8 @@ def _cmd_supports(args, inputs: dict) -> tuple[dict, list[str], int]:
 
 
 def _cmd_haar_lp(args, inputs: dict) -> tuple[dict, list[str], int]:
-    model = build_lp(rigidity_problem(
-        args.n, args.lattice, args.beta, bound_mode=args.bound_mode, test_directions=args.direction
+    model = build_lp(RigidityProblem(
+        args.n, args.lattice, args.beta, args.bound_mode, args.direction or ()
     ))
     num_variables = len(model.group_of)
     constraints = []

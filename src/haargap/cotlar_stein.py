@@ -88,14 +88,18 @@ class CotlarCheck:
     R1: float
     R2: float
     lhs: float
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        """Whether lhs stays below max(R1, R2) up to the configured slack."""
+        return self.lhs <= max(self.R1, self.R2) * (1.0 + TOLERANCES.bound_slack)
 
 
 def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
     """Evaluate the almost-orthogonality bound on a matrix family.
 
     R1 and R2 are the worst row sums of the square-rooted cross norms; `holds`
-    records whether the norm of the summed family stays below max(R1, R2) up
+    says whether the norm of the summed family stays below max(R1, R2) up
     to the configured slack.
     """
     members = family.members
@@ -124,8 +128,7 @@ def cotlar_bound_check(family: MatrixFamily) -> CotlarCheck:
         table[a, b] = table[b, a] = np.sqrt(products)
         row_sums.append(float(table.sum(axis=1).max()))
     R1, R2 = row_sums
-    holds = lhs <= max(R1, R2) * (1.0 + TOLERANCES.bound_slack)
-    return CotlarCheck(R1, R2, lhs, holds)
+    return CotlarCheck(R1, R2, lhs)
 
 
 def orthogonal_projector_family(num_blocks: int, block_size: int) -> MatrixFamily:

@@ -55,18 +55,15 @@ def lattice_supports(n: int, lattice: str) -> tuple[RootSystem, Iterable[Partiti
 
 @dataclass(frozen=True)
 class RigidityProblem:
-    """An instance of the entropy game: supports, test directions, bound choice.
+    """An entropy-game query for SL_n: the lattice class, whose supports
+    lattice_supports picks, β, the bound mode and the test directions, the
+    Weyl orbit of default_test_directions(n) when empty."""
 
-    supports may be any re-iterable collection of Partitions, such as a tuple
-    or the lazy walk of enumerate_block_partitions; build_lp reads it in one
-    pass and keeps only each group's first member.
-    """
-
-    rs: RootSystem
-    supports: Iterable[Partition]
-    test_directions: tuple[CartanElement, ...]
+    n: int
+    lattice: str
     beta: Fraction
-    bound_mode: str = BOUND_HAAR_FRACTION
+    bound_mode: str
+    test_directions: tuple[CartanElement, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "test_directions", tuple(self.test_directions))
@@ -77,18 +74,28 @@ class RigidityProblem:
 class LPModel:
     """Minimize objective.w subject to ge_rows.w >= ge_rhs, sum(w) = 1, w >= 0.
 
-    Supports with equal columns form one group, one variable: variables,
-    supports (each group's first member), objective and ge_rows' columns run
-    over the groups.  Support m is in group_of[m].
+    Supports with equal columns form one group, one variable: supports (each
+    group's first member), ge_rows' columns and the derived variables and
+    objective run over the groups.  Support m is in group_of[m].
     """
 
-    variables: tuple[str, ...]
     supports: tuple[Partition, ...]
     directions: tuple[CartanElement, ...]
-    objective: tuple[Fraction, ...]
     ge_rows: tuple[tuple[Fraction, ...], ...]
     ge_rhs: tuple[Fraction, ...]
     group_of: tuple[int, ...]
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """Each group's label."""
+        return tuple(s.label for s in self.supports)
+
+    @property
+    def objective(self) -> tuple[Fraction, ...]:
+        """Δ's weight: 1 on Δ, the partition with one block, and 0 elsewhere.
+        Every nonzero direction puts some pair of distinct values in different
+        blocks of any partition but Δ, so Δ's column is a group of its own."""
+        return tuple(Fraction(1) if len(s) == 1 else _ZERO for s in self.supports)
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ VERTEX_NOTE = "one optimal vertex among possibly many; uniqueness is not claimed
 
 
 def build_lp(problem: RigidityProblem) -> LPModel:
-    """Assemble the entropy-game LP for a rigidity problem.
+    """Assemble the entropy-game LP for a query.
 
     One constraint per test direction; caps are evaluated at the direction as
     given (orbit elements are deliberately not dominantized).  A support holds
@@ -115,21 +122,26 @@ def build_lp(problem: RigidityProblem) -> LPModel:
     and the group of each support.  Both bounds are invariant under permuting
     X's coordinates, so each is computed once per distinct (sorted scaled
     coordinates, denominator).
+
+    Refuses, in this order, n < 3, an unknown lattice class or one past its
+    enumeration limit, an unknown bound mode, β outside [0, 1], and a test
+    direction of another dimension or zero.
     """
-    rs = problem.rs
-    if not problem.test_directions:
-        raise ValueError("empty test set: at least one test direction is required")
+    if problem.n < 3:
+        raise ValueError(f"need n >= 3, got n={problem.n}")
+    rs, supports = lattice_supports(problem.n, problem.lattice)
+    directions = problem.test_directions or default_test_directions(problem.n)
     if problem.bound_mode not in BOUND_MODES:
         raise ValueError(f"unknown bound mode {problem.bound_mode!r}; expected one of {BOUND_MODES}")
     if not (0 <= problem.beta <= 1):
         raise ValueError(f"beta must lie in [0, 1], got {problem.beta}")
-    for X in problem.test_directions:
+    for X in directions:
         if X.n != rs.n:
             raise ValueError(f"test direction has n={X.n}, root system has n={rs.n}")
         if X.is_zero():
             raise ValueError("test directions must be nonzero")
 
-    scaled, denoms = zip(*(_scaled(rs, X) for X in problem.test_directions))
+    scaled, denoms = zip(*(_scaled(rs, X) for X in directions))
     pairs = list(itertools.combinations(range(rs.n), 2))
     # no support's cap exceeds Δ's, the sum over all pairs, so a lane as wide
     # as the largest such sum never carries into the next
@@ -139,15 +151,10 @@ def build_lp(problem: RigidityProblem) -> LPModel:
         for i, j in pairs
     }
     block_weight: dict[tuple, int] = {}
-    full = Partition((tuple(range(1, rs.n + 1)),))
-    n_full = 0
     group: dict[int, int] = {}  # key -> group, numbered in order of first member
     reps: list[Partition] = []
     group_of: list[int] = []
-    for s in problem.supports:
-        if not isinstance(s, Partition):
-            raise ValueError("every support must be a Partition: caps are read from blocks")
-        n_full += s == full
+    for s in supports:
         key = 0
         for block in s:
             if block not in block_weight:
@@ -159,10 +166,6 @@ def build_lp(problem: RigidityProblem) -> LPModel:
         if g == len(reps):
             reps.append(s)
         group_of.append(g)
-    if n_full == 0:
-        raise ValueError("Δ missing from supports: the full support must be present")
-    if n_full > 1:
-        raise ValueError("Δ present more than once in supports")
 
     lane = (1 << width) - 1
     rows = tuple(
@@ -171,7 +174,7 @@ def build_lp(problem: RigidityProblem) -> LPModel:
     )
     orbit_bound: dict[tuple, Fraction] = {}
     rhs = []
-    for X, x, d in zip(problem.test_directions, scaled, denoms):
+    for X, x, d in zip(directions, scaled, denoms):
         key = (tuple(sorted(x)), d)
         if key not in orbit_bound:
             if problem.bound_mode == BOUND_HAAR_FRACTION:
@@ -179,14 +182,7 @@ def build_lp(problem: RigidityProblem) -> LPModel:
             else:
                 orbit_bound[key] = entropy_lower_bound(rs, X)
         rhs.append(orbit_bound[key])
-    # every nonzero direction puts some pair of distinct values in different
-    # blocks of any partition but Δ, so Δ's key is its own and the objective
-    # needs no lane
-    objective = tuple(Fraction(1) if s == full else _ZERO for s in reps)
-    labels = tuple(s.label for s in reps)
-    return LPModel(
-        labels, tuple(reps), problem.test_directions, objective, rows, tuple(rhs), tuple(group_of)
-    )
+    return LPModel(tuple(reps), directions, rows, tuple(rhs), tuple(group_of))
 
 
 def solve_lp(model: LPModel) -> LPSolution:
@@ -231,7 +227,8 @@ def verify_solution(model: LPModel, solution: LPSolution) -> bool:
     for row, bound in zip(model.ge_rows, model.ge_rhs):
         if sum((row[j] * v for j, v in live), _ZERO) < bound:
             return False
-    value = sum((model.objective[j] * v for j, v in live), _ZERO)
+    objective = model.objective
+    value = sum((objective[j] * v for j, v in live), _ZERO)
     return value == solution.optimum
 
 
@@ -244,22 +241,6 @@ def default_test_directions(n: int) -> tuple[CartanElement, ...]:
     return weyl_orbit(extreme_direction(n))
 
 
-def rigidity_problem(
-    n: int,
-    lattice: str,
-    beta,
-    *,
-    bound_mode: str = BOUND_HAAR_FRACTION,
-    test_directions=None,
-) -> RigidityProblem:
-    """Assemble the standard problem instance for SL_n with the given lattice class."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
-    rs, supports = lattice_supports(n, lattice)
-    directions = test_directions or default_test_directions(n)
-    return RigidityProblem(rs, supports, directions, beta, bound_mode)
-
-
 def solve_min_haar(
     n: int,
     lattice: str,
@@ -268,9 +249,7 @@ def solve_min_haar(
     bound_mode: str = BOUND_HAAR_FRACTION,
     test_directions=None,
 ) -> tuple[RigidityProblem, LPModel, LPSolution]:
-    problem = rigidity_problem(
-        n, lattice, beta, bound_mode=bound_mode, test_directions=test_directions
-    )
+    problem = RigidityProblem(n, lattice, beta, bound_mode, test_directions or ())
     model = build_lp(problem)
     solution = solve_lp(model)
     return problem, model, solution

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 
 # Largest n for which a root system is built (n(n-1) roots and their index
@@ -66,39 +65,35 @@ def cartan(*coords) -> CartanElement:
 
 
 class RootSystem:
-    """The A_{n-1} root system of SL_n.
+    """The A_{n-1} root system of SL_n, built from n alone.
 
     Roots are ordered lexicographically by their index pair (i, j), i != j,
     1-based, the same order on every run.  SL_n is split, so every root has
-    multiplicity 1 and sums over roots carry no weights.
+    multiplicity 1 and sums over roots carry no weights.  Raises ValueError
+    for n < 2 and CapacityError above ROOT_SYSTEM_MAX_N, before anything is
+    built.
     """
 
-    def __init__(self, n: int, roots: Sequence[Root]):
+    def __init__(self, n: int):
+        if n < 2:
+            raise ValueError(f"invalid dimension n={n}; the root system needs n >= 2")
+        if n > ROOT_SYSTEM_MAX_N:
+            raise CapacityError(
+                f"root systems are limited to n <= {ROOT_SYSTEM_MAX_N}, got n={n}"
+            )
+        indices = range(1, n + 1)
         self.n = n
-        self.roots: tuple[Root, ...] = tuple(roots)
+        self.roots = tuple(Root(i, j) for i in indices for j in indices if i != j)
         self.rank = n - 1
-        self.positive_indices: tuple[int, ...] = tuple(
-            k for k, r in enumerate(self.roots) if r.i < r.j
-        )
+        self.positive_indices = tuple(k for k, r in enumerate(self.roots) if r.i < r.j)
 
     def positive_roots(self) -> tuple[Root, ...]:
         return tuple(self.roots[k] for k in self.positive_indices)
 
 
 def build_type_a(n: int) -> RootSystem:
-    """Construct the A_{n-1} root system for SL_n.
-
-    Raises ValueError for n < 2 and CapacityError above ROOT_SYSTEM_MAX_N,
-    before anything is built.
-    """
-    if n < 2:
-        raise ValueError(f"invalid dimension n={n}; the root system needs n >= 2")
-    if n > ROOT_SYSTEM_MAX_N:
-        raise CapacityError(
-            f"root systems are limited to n <= {ROOT_SYSTEM_MAX_N}, got n={n}"
-        )
-    indices = range(1, n + 1)
-    return RootSystem(n, [Root(i, j) for i in indices for j in indices if i != j])
+    """The A_{n-1} root system for SL_n: RootSystem(n)."""
+    return RootSystem(n)
 
 
 def weyl_orbit(X: CartanElement) -> tuple[CartanElement, ...]:

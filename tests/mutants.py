@@ -186,6 +186,12 @@ MUTANTS = {
         "itertools.permutations(block, 2)))",
         "tests/test_supports.py::test_symmetric_closed_matches_independent_filter",
     ),
+    "root system limit one past 64": (
+        "roots.py",
+        "        if n > ROOT_SYSTEM_MAX_N:\n",
+        "        if n > ROOT_SYSTEM_MAX_N + 1:\n",
+        "tests/test_roots.py::test_root_system_is_built_from_n_alone",
+    ),
     "orbit walk takes the smallest value first": (
         "roots.py",
         "sorted(set(X.coords), reverse=True)",

@@ -333,7 +333,7 @@ def test_unprintable_values_are_refused_before_any_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran on an input it could not print")
 
-    monkeypatch.setattr(cli, "rigidity_problem", no_work)
+    monkeypatch.setattr(cli, "build_lp", no_work)
     monkeypatch.setattr(cli, "build_type_a", no_work)
     for argv in (["haar-lp", "--n", "3", "--beta", "1e-4300"],
                  ["bound", "--n", "3", "--direction=1e4300,-1e4300,0"],

@@ -88,7 +88,7 @@ CotlarCheck: dataclass, haargap.cotlar_stein, loaded on first read
     field R1: float
     field R2: float
     field lhs: float
-    field holds: bool
+    property holds
 FastSlowSplit: dataclass, haargap.entropy
     field threshold: Fraction
     field slow_indices: tuple[int, ...]
@@ -96,13 +96,13 @@ FastSlowSplit: dataclass, haargap.entropy
     field dispersive_exponent: Fraction
     property J0
 LPModel: dataclass, haargap.rigidity
-    field variables: tuple[str, ...]
     field supports: tuple[Partition, ...]
     field directions: tuple[CartanElement, ...]
-    field objective: tuple[Fraction, ...]
     field ge_rows: tuple[tuple[Fraction, ...], ...]
     field ge_rhs: tuple[Fraction, ...]
     field group_of: tuple[int, ...]
+    property variables
+    property objective
 LPSolution: dataclass, haargap.rigidity
     field optimum: Fraction
     field weights: dict[Partition, Fraction]
@@ -130,16 +130,16 @@ Partition: class, haargap.supports
     property kind
     property label
 RigidityProblem: dataclass, haargap.rigidity
-    field rs: RootSystem
-    field supports: Iterable[Partition]
-    field test_directions: tuple[CartanElement, ...]
+    field n: int
+    field lattice: str
     field beta: Fraction
-    field bound_mode: str = 'haar-fraction'
+    field bound_mode: str
+    field test_directions: tuple[CartanElement, ...] = ()
 Root: dataclass, haargap.roots
     field i: int
     field j: int
 RootSystem: class, haargap.roots
-    constructor RootSystem(n: 'int', roots: 'Sequence[Root]')
+    constructor RootSystem(n: 'int')
     method positive_roots(self) -> 'tuple[Root, ...]'
 TOLERANCES: NumericTolerances instance, haargap.cotlar_stein, loaded on first read
 build_lp: function, haargap.rigidity
@@ -186,8 +186,6 @@ orthogonal_projector_family: function, haargap.cotlar_stein, loaded on first rea
 oscillatory_decay: function, haargap.cotlar_stein, loaded on first read
     oscillatory_decay(problem: 'OscillatoryProblem') -> 'OscillatoryDecay'
 rigidity: module, haargap.rigidity
-rigidity_problem: function, haargap.rigidity
-    rigidity_problem(n: 'int', lattice: 'str', beta, *, bound_mode: 'str' = 'haar-fraction', test_directions=None) -> 'RigidityProblem'
 roots: module, haargap.roots
 run_validation_suite: function, haargap.cotlar_stein, loaded on first read
     run_validation_suite(seed: 'int') -> 'dict'
@@ -203,7 +201,7 @@ verify_solution: function, haargap.rigidity
     verify_solution(model: 'LPModel', solution: 'LPSolution') -> 'bool'
 weyl_orbit: function, haargap.roots
     weyl_orbit(X: 'CartanElement') -> 'tuple[CartanElement, ...]'
-48 names, 36 dataclass fields, 46 function parameters
+47 names, 33 dataclass fields, 41 function parameters
 """
 
 

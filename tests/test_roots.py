@@ -7,11 +7,13 @@ from itertools import permutations
 import pytest
 
 from haargap import supports
+from haargap.supports import enumerate_symmetric_closed
 from haargap.roots import (
     ROOT_SYSTEM_MAX_N,
     CapacityError,
     CartanElement,
     Root,
+    RootSystem,
     build_type_a,
     cartan,
     dominant_representative,
@@ -201,3 +203,16 @@ def test_build_type_a_dimension_limit():
     assert len(build_type_a(ROOT_SYSTEM_MAX_N).roots) == 64 * 63
     with pytest.raises(CapacityError, match="n <= 64"):
         build_type_a(ROOT_SYSTEM_MAX_N + 1)
+
+
+def test_root_system_is_built_from_n_alone():
+    # RootSystem takes no roots from its caller, so its limits hold however
+    # it is built: n = 9's 36 positive roots are refused by the generic walk
+    with pytest.raises(ValueError, match="n >= 2"):
+        RootSystem(1)
+    with pytest.raises(CapacityError, match="n <= 64"):
+        RootSystem(ROOT_SYSTEM_MAX_N + 1)
+    with pytest.raises(CapacityError, match="36 positive roots"):
+        enumerate_symmetric_closed(RootSystem(9))
+    rs = RootSystem(4)
+    assert (rs.n, rs.rank, rs.roots) == (4, 3, build_type_a(4).roots)

@@ -293,9 +293,9 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
 def member_lp(model) -> tuple[list[Fraction], list[list[Fraction]]]:
     """The ungrouped LP: objective and >= rows with one entry per problem
     support, each read from its group's column through group_of."""
-    objective = [model.objective[g] for g in model.group_of]
+    objective = model.objective
     rows = [[row[g] for g in model.group_of] for row in model.ge_rows]
-    return objective, rows
+    return [objective[g] for g in model.group_of], rows
 
 
 def brute_force_lp_minimum(model) -> Fraction:
