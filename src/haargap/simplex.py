@@ -42,6 +42,7 @@ class SimplexResult:
     x: tuple[Fraction, ...] | None
     objective: Fraction | None
     basis: tuple[int, ...] | None
+    pivots: tuple[tuple[int, int], ...]  # (row, logical column): phase 1, drive-out, phase 2
 
 
 _ZERO = Fraction(0)
@@ -70,7 +71,7 @@ def _negated_sum(values):
     return Fraction(-sum(v.numerator * (d // v.denominator) for v in values), d)
 
 
-def _run_phase(T, basis, z, n, artificials=()):
+def _run_phase(T, basis, z, n, pivots, artificials=()):
     """Append the reduced-cost row z to T and pivot until optimal or unbounded.
 
     The cost row stays last in T; the constraint rows are T[:len(basis)].
@@ -79,6 +80,7 @@ def _run_phase(T, basis, z, n, artificials=()):
     """
     T.append(z)
     rows = range(len(basis))
+    seen = set()
 
     def column(j):
         """Logical column j's entries in the rows of T, its reduced cost last."""
@@ -88,6 +90,11 @@ def _run_phase(T, basis, z, n, artificials=()):
         return [tau * t[k] for t in T[:-1]] + [offset + tau * T[-1][k]]
 
     while True:
+        # Bland's rule never revisits a basis, and every entry read below is a
+        # function of the basis, so a repeat is a fault that would loop for ever
+        if (key := tuple(basis)) in seen:
+            raise RuntimeError(f"simplex phase revisited the basis {key}")
+        seen.add(key)
         z = T[-1]
         # an artificial is priced only when no structural column is eligible
         col = next(chain((j for j in range(n) if z[j] < 0),
@@ -109,6 +116,7 @@ def _run_phase(T, basis, z, n, artificials=()):
         if best is None:
             return STATUS_UNBOUNDED
         _pivot(T, basis, best, col, values)
+        pivots.append((best, col))
 
 
 def solve_standard_form(A, b, c) -> SimplexResult:
@@ -116,7 +124,7 @@ def solve_standard_form(A, b, c) -> SimplexResult:
 
     Rows with negative right-hand side are negated up front.  Returns the
     optimum with a vertex and the final basis, or an infeasible/unbounded
-    status.
+    status, with every pivot taken.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -124,7 +132,7 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     if len(c) != n:
         raise ValueError(f"objective length {len(c)} does not match {n} columns")
     if not m:
-        return SimplexResult(STATUS_OPTIMAL, (), _ZERO, ())
+        return SimplexResult(STATUS_OPTIMAL, (), _ZERO, (), ())
     T = []
     for i in range(m):
         row = [_fraction(v) for v in A[i]] + [_fraction(b[i])]
@@ -142,12 +150,12 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     T = [t[:n] + [_ONE if k == i else _ZERO for k in stored] + t[n:] for i, t in enumerate(T)]
     z = [_negated_sum(col) for col in zip(*T)]
     z[n:-1] = [_ZERO] * len(stored)
-    basis = list(range(n, n + m))
-    if _run_phase(T, basis, z, n, [artificials[i] for i in range(m)]) == STATUS_UNBOUNDED:
+    basis, pivots = list(range(n, n + m)), []
+    if _run_phase(T, basis, z, n, pivots, [artificials[i] for i in range(m)]) == STATUS_UNBOUNDED:
         # cannot happen: phase-1 objective is bounded below by zero
         raise RuntimeError("phase-1 simplex reported unbounded")
     if T.pop()[-1] < 0:
-        return SimplexResult(STATUS_INFEASIBLE, None, None, None)
+        return SimplexResult(STATUS_INFEASIBLE, None, None, None, tuple(pivots))
 
     # drive artificials out of the basis; drop redundant rows
     keep = []
@@ -157,6 +165,7 @@ def solve_standard_form(A, b, c) -> SimplexResult:
             if col is None:
                 continue  # redundant row
             _pivot(T, basis, i, col, [t[col] for t in T])
+            pivots.append((i, col))
         keep.append(i)
     T = [T[i][:n] + T[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
@@ -166,9 +175,9 @@ def solve_standard_form(A, b, c) -> SimplexResult:
     for ti, bi in zip(T, basis):
         if c[bi]:
             z = [a - c[bi] * b for a, b in zip(z, ti)]
-    if _run_phase(T, basis, z, n) == STATUS_UNBOUNDED:
-        return SimplexResult(STATUS_UNBOUNDED, None, None, None)
+    if _run_phase(T, basis, z, n, pivots) == STATUS_UNBOUNDED:
+        return SimplexResult(STATUS_UNBOUNDED, None, None, None, tuple(pivots))
     x = [_ZERO] * n
     for ti, bi in zip(T, basis):
         x[bi] = ti[-1]
-    return SimplexResult(STATUS_OPTIMAL, tuple(x), -T[-1][-1], tuple(basis))
+    return SimplexResult(STATUS_OPTIMAL, tuple(x), -T[-1][-1], tuple(basis), tuple(pivots))

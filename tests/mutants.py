@@ -66,9 +66,6 @@ MUTANTS = {
         "next(chain((j for j in reversed(range(n)) if z[j] < 0),",
         "tests/test_simplex.py::test_seeded_corpus_results_are_pinned",
     ),
-    # the wrong reduced cost makes phase 1 cycle on some LPs of the pinned
-    # corpus; the named test checks each pivot as it is made, so it fails at
-    # the first wrong one instead
     "tau flipped in a derived artificial's reduced cost": (
         "simplex.py",
         "[offset + tau * T[-1][k]]",
@@ -80,6 +77,12 @@ MUTANTS = {
         "if offset + tau * z[k] < 0)",
         "if offset - tau * z[k] < 0)",
         "tests/test_simplex.py::test_an_artificial_read_off_a_unit_column_reenters",
+    ),
+    "basis guard removed": (
+        "simplex.py",
+        "        seen.add(key)\n",
+        "",
+        "tests/test_simplex.py::test_a_repeated_basis_is_refused",
     ),
     "build_lp lane one bit short": (
         "rigidity.py",

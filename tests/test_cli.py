@@ -508,12 +508,13 @@ def _cli_process(argv, unbuffered: bool, **kwargs) -> subprocess.Popen:
 
 
 def _assert_stdout_refused(proc, code: int) -> None:
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2, stderr
-    # one line: no traceback, no "Exception ignored" at exit
-    assert len(stderr.splitlines()) == 1, stderr
-    assert stderr.startswith("invalid input: cannot write standard output: ")
-    assert os.strerror(code) in stderr
+    with proc:
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2, stderr
+        # one line: no traceback, no "Exception ignored" at exit
+        assert len(stderr.splitlines()) == 1, stderr
+        assert stderr.startswith("invalid input: cannot write standard output: ")
+        assert os.strerror(code) in stderr
 
 
 # unbuffered, a write cut short goes unreported and only the next one fails

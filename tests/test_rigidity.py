@@ -736,7 +736,8 @@ def test_weights_keyed_by_support_and_sum_to_one():
 
 
 def _solve_counting_pivots(monkeypatch, n, lattice, beta, **kwargs):
-    """solve_min_haar's model, and each pivot's Fraction updates and row width."""
+    """solve_min_haar's model, pivots, and each pivot's Fraction updates and row width;
+    only these two, which depend on how the tableau is stored, are read off the private _pivot."""
     work, pivot = [], simplex._pivot
 
     def counting(T, basis, row, col, column):
@@ -746,8 +747,10 @@ def _solve_counting_pivots(monkeypatch, n, lattice, beta, **kwargs):
         pivot(T, basis, row, col, column)
 
     monkeypatch.setattr(simplex, "_pivot", counting)
+    results, solve = [], simplex.solve_standard_form
+    monkeypatch.setattr(simplex, "solve_standard_form", lambda *lp: results.append(solve(*lp)) or results[-1])
     _, model, _ = solve_min_haar(n, lattice, beta, **kwargs)
-    return model, work
+    return model, results[0].pivots, work
 
 
 @pytest.mark.parametrize(
@@ -762,8 +765,8 @@ def _solve_counting_pivots(monkeypatch, n, lattice, beta, **kwargs):
 def test_simplex_work_counts_are_pinned(monkeypatch, n, lattice, beta, pivots, updates):
     # a count that moves is a change in the work the simplex does, whatever
     # the host's timings say: fix the regression or re-pin it as a golden
-    model, work = _solve_counting_pivots(monkeypatch, n, lattice, beta)
-    assert (len(work), sum(u for u, _ in work)) == (pivots, updates)
+    model, taken, work = _solve_counting_pivots(monkeypatch, n, lattice, beta)
+    assert (len(taken), sum(u for u, _ in work)) == (pivots, updates)
     # every row of A has a signed unit column, so phase 1 stores no artificial:
     # each row holds the group and surplus columns and the right-hand side
     assert {width for _, width in work} == {len(model.supports) + len(model.ge_rows) + 1}
@@ -772,6 +775,6 @@ def test_simplex_work_counts_are_pinned(monkeypatch, n, lattice, beta, pivots, u
 def test_custom_direction_simplex_work_counts_are_pinned(monkeypatch):
     # three fixed directions with no shared orbit: 52 supports at generic n = 5
     directions = [cartan(3, 1, -4, 2, -2), cartan(1, -1, 2, -3, 1), cartan(-2, 5, 0, -1, -2)]
-    model, work = _solve_counting_pivots(monkeypatch, 5, "generic", F(2, 3), test_directions=directions)
-    assert (len(work), sum(u for u, _ in work)) == (21, 5119)
+    model, taken, work = _solve_counting_pivots(monkeypatch, 5, "generic", F(2, 3), test_directions=directions)
+    assert (len(taken), sum(u for u, _ in work)) == (21, 5119)
     assert {width for _, width in work} == {len(model.supports) + len(model.ge_rows) + 1}

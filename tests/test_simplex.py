@@ -27,7 +27,7 @@ from util import (
 
 
 def test_empty_lp_is_the_empty_vertex():
-    assert solve_standard_form([], [], []) == SimplexResult(STATUS_OPTIMAL, (), F(0), ())
+    assert solve_standard_form([], [], []) == SimplexResult(STATUS_OPTIMAL, (), F(0), (), ())
 
 
 def test_simple_bounded_lp():
@@ -242,18 +242,6 @@ def _unit_signs(A, b):
     return signs
 
 
-def _recorded_pivots(monkeypatch):
-    """The (row, entering column, stored row width) of every pivot the simplex makes from now on."""
-    pivots, pivot = [], simplex._pivot
-
-    def recording(T, basis, row, col, column):
-        pivots.append((row, col, len(T[row])))
-        pivot(T, basis, row, col, column)
-
-    monkeypatch.setattr(simplex, "_pivot", recording)
-    return pivots
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_derived_artificials_match_explicit_reference(data):
@@ -261,17 +249,11 @@ def test_derived_artificials_match_explicit_reference(data):
     assert solve_standard_form(A, b, c) == explicit_artificial_standard_form(A, b, c)
 
 
-def test_derived_artificials_match_explicit_reference_on_a_seeded_sweep(monkeypatch):
+def test_derived_artificials_match_explicit_reference_on_a_seeded_sweep():
     rng = random.Random(28)
     corpus = [_unit_column_lp(rng.randint) for _ in range(800)]
-    pivots = _recorded_pivots(monkeypatch)
-    results, reentries = [], 0
-    for A, b, c in corpus:
-        del pivots[:]
-        results.append(solve_standard_form(A, b, c))
-        assert results[-1] == explicit_artificial_standard_form(A, b, c)
-        # an artificial (index >= n) enters only in phase 1, after leaving
-        reentries += any(col >= len(A[0]) for _, col, _ in pivots)
+    results = [solve_standard_form(A, b, c) for A, b, c in corpus]
+    assert results == [explicit_artificial_standard_form(A, b, c) for A, b, c in corpus]
     # slack and surplus columns, negated rows among them, rows with two unit
     # columns and with none, dropped redundant rows, and re-entering artificials
     rows = [(bi, signs) for A, b, _ in corpus for bi, signs in zip(b, _unit_signs(A, b))]
@@ -285,10 +267,11 @@ def test_derived_artificials_match_explicit_reference_on_a_seeded_sweep(monkeypa
     }
     assert sum(r.status == STATUS_OPTIMAL and len(r.basis) < len(A)
                for (A, _, _), r in zip(corpus, results)) == 23
-    assert reentries == 3
+    # an artificial (index >= n) enters only in phase 1, after leaving
+    assert sum(any(col >= len(A[0]) for _, col in r.pivots) for (A, _, _), r in zip(corpus, results)) == 3
 
 
-def test_an_artificial_read_off_a_unit_column_reenters(monkeypatch):
+def test_an_artificial_read_off_a_unit_column_reenters():
     # once row 0 is negated every row has a signed unit column (row 1 two),
     # so phase 1 stores no artificial, yet a_1 (column 7 + 1) comes back into
     # the basis before phase 1 finds the LP infeasible
@@ -299,20 +282,33 @@ def test_an_artificial_read_off_a_unit_column_reenters(monkeypatch):
     )]
     b, c = [F(-3), F(0), F(4)], [F(v) for v in (2, 3, -1, -2, 3, -2, -2)]
     assert _unit_signs(A, b) == [[1], [-1, -1], [-1]]
-    pivots = _recorded_pivots(monkeypatch)
     res = solve_standard_form(A, b, c)
     assert res == explicit_artificial_standard_form(A, b, c)
     assert res.status == STATUS_INFEASIBLE
-    assert 7 + 1 in [col for _, col, _ in pivots]
-    assert {width for _, _, width in pivots} == {7 + 1}
+    assert 7 + 1 in [col for _, col in res.pivots]
 
 
-def test_a_reentering_derived_artificial_takes_each_reference_pivot(monkeypatch):
+def test_a_repeated_basis_is_refused(monkeypatch):
+    # a pivot that changes nothing keeps phase 1 at its first basis; past a
+    # few calls the stand-in fails, so a missing guard fails, not hangs.  Its
+    # rows hold 3 columns and b: +e_0 (row 0 negated) and -e_1 are read off
+    widths = []
+
+    def unchanged(T, basis, row, col, column):
+        widths.append(len(T[row]))
+        assert len(widths) <= 3, "the repeated basis was not refused"
+
+    monkeypatch.setattr(simplex, "_pivot", unchanged)
+    with pytest.raises(RuntimeError, match="revisited the basis"):
+        solve_standard_form([[F(-1), F(2), F(0)], [F(0), F(1), F(-1)]], [F(-1), F(1)], [F(0)] * 3)
+    assert widths == [3 + 1]
+
+
+def test_a_reentering_derived_artificial_takes_each_reference_pivot():
     # a_3 is read off row 3's surplus column 4 (tau = -1) and re-enters at the
-    # fourth pivot.  Each pivot is checked against the explicit reference as
-    # it is made, so a wrong entry in the entering column, its reduced cost
-    # included, fails at the first pivot it changes, here the fifth, instead
-    # of letting phase 1 cycle
+    # fourth pivot.  The whole pivot path is compared with the reference, so a
+    # wrong entry in the entering column, its reduced cost included, fails
+    # here, and one that makes phase 1 cycle fails on the repeated basis
     A = [[F(v) for v in row.split()] for row in (
         "0 1 0 -1/2 0 0 0 1/3 0",
         "0 -1/2 0 1 0 1 1 1 -1",
@@ -321,19 +317,10 @@ def test_a_reentering_derived_artificial_takes_each_reference_pivot(monkeypatch)
     )]
     b, c = [F(1), F(-4), F(4), F(0)], [F(v) for v in (-2, 2, 1, -2, 0, -2, 1, -2, 3)]
     assert _unit_signs(A, b) == [[], [-1, -1], [-1, -1], [-1]]
-    reference = []
-    expected = explicit_artificial_standard_form(A, b, c, pivots=reference)
-    assert reference == [(3, 1), (0, 3), (0, 8), (2, 9 + 3), (1, 0)]
-    made, pivot = [], simplex._pivot
-
-    def checked(T, basis, row, col, column):
-        assert reference[len(made):len(made) + 1] == [(row, col)], f"pivot {len(made)} is {(row, col)}"
-        made.append((row, col))
-        pivot(T, basis, row, col, column)
-
-    monkeypatch.setattr(simplex, "_pivot", checked)
+    expected = explicit_artificial_standard_form(A, b, c)
+    assert expected.pivots == ((3, 1), (0, 3), (0, 8), (2, 9 + 3), (1, 0))
+    assert expected.status == STATUS_INFEASIBLE
     assert solve_standard_form(A, b, c) == expected
-    assert expected.status == STATUS_INFEASIBLE and made == reference
 
 
 _PIPELINE_BETAS = (F(1, 3), F(1, 2), F(2, 3), F(1))
@@ -366,12 +353,10 @@ PIVOT_PATH_PIVOTS = 1618
 
 
 def test_pipeline_pivot_path_is_pinned(monkeypatch):
-    pivots = _recorded_pivots(monkeypatch)
-    lines, total = [], 0
+    results, solve = [], simplex.solve_standard_form
+    monkeypatch.setattr(simplex, "solve_standard_form", lambda *lp: results.append(solve(*lp)) or results[-1])
     for n, lattice, beta, mode, directions in _pipeline_cases():
-        del pivots[:]
         solve_min_haar(n, lattice, beta, bound_mode=mode, test_directions=directions)
-        lines.append(repr([(row, col) for row, col, _ in pivots]))
-        total += len(pivots)
-    assert (len(lines), total) == (95, PIVOT_PATH_PIVOTS)
+    lines = [repr(list(r.pivots)) for r in results]
+    assert (len(lines), sum(len(r.pivots) for r in results)) == (95, PIVOT_PATH_PIVOTS)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PIVOT_PATH_DIGEST

@@ -403,27 +403,25 @@ def brute_force_standard_form(A, b, c):
     return ("infeasible", None) if best is None else ("optimal", best)
 
 
-def explicit_artificial_standard_form(A, b, c, pivots=None) -> SimplexResult:
+def explicit_artificial_standard_form(A, b, c) -> SimplexResult:
     """solve_standard_form as it was with one stored artificial column per row.
 
     The reference for the production solver, which reads an artificial off a
     signed unit column of its row instead: the same two phases, Bland's rule
     and ratio test, on a tableau [A | I | b] whose artificial columns are
     always stored and pivoted.  Only the arithmetic is repeated here, not
-    shared, so an error in the derived columns cannot hide in both.  A list
-    passed as pivots gets the (row, column) of each pivot, in order.
+    shared, so an error in the derived columns cannot hide in both.
     """
-    zero, one = Fraction(0), Fraction(1)
+    zero, one, pivots = Fraction(0), Fraction(1), []
     m, n = len(A), len(A[0]) if A else 0
     c = [Fraction(v) for v in c]
     if len(c) != n:
         raise ValueError(f"objective length {len(c)} does not match {n} columns")
     if not m:
-        return SimplexResult(STATUS_OPTIMAL, (), zero, ())
+        return SimplexResult(STATUS_OPTIMAL, (), zero, (), ())
 
     def pivot(T, basis, row, col):
-        if pivots is not None:
-            pivots.append((row, col))
+        pivots.append((row, col))
         prow = T[row] = [v / T[row][col] for v in T[row]]
         for i, ti in enumerate(T):
             if i != row and ti[col]:
@@ -452,7 +450,7 @@ def explicit_artificial_standard_form(A, b, c, pivots=None) -> SimplexResult:
     if run(T, basis, z) == STATUS_UNBOUNDED:
         raise RuntimeError("phase-1 simplex reported unbounded")
     if T.pop()[-1] < 0:
-        return SimplexResult(STATUS_INFEASIBLE, None, None, None)
+        return SimplexResult(STATUS_INFEASIBLE, None, None, None, tuple(pivots))
     keep = []
     for i in range(m):
         if basis[i] >= n:
@@ -467,11 +465,11 @@ def explicit_artificial_standard_form(A, b, c, pivots=None) -> SimplexResult:
     for ti, bi in zip(T, basis):
         z = [a - c[bi] * v for a, v in zip(z, ti)]
     if run(T, basis, z) == STATUS_UNBOUNDED:
-        return SimplexResult(STATUS_UNBOUNDED, None, None, None)
+        return SimplexResult(STATUS_UNBOUNDED, None, None, None, tuple(pivots))
     x = [zero] * n
     for ti, bi in zip(T, basis):
         x[bi] = ti[-1]
-    return SimplexResult(STATUS_OPTIMAL, tuple(x), -T[-1][-1], tuple(basis))
+    return SimplexResult(STATUS_OPTIMAL, tuple(x), -T[-1][-1], tuple(basis), tuple(pivots))
 
 
 def sequential_validation_suite(seed: int) -> dict:
