@@ -21,8 +21,9 @@ that touches floating point; every tolerance lives in the single `TOLERANCES`
 record below.
 
 `run_validation_suite` runs the almost-orthogonality checks on a worker thread
-beside the decay checks, and each `oscillatory_decay` claims its h values from
-one shared queue on two threads, the calling one and a helper.  Every array is
+beside the decay checks, and each `oscillatory_decay` splits its h ladder
+between two threads before any work starts: the calling thread takes every
+second h from the first, a helper thread the others.  Every array is
 allocated on the calling thread, the helper's scratch buffer too, and the
 helper writes only through `out=`, so no large block lands in a second malloc
 arena.  The exp argument is phase * (1/h) put in the imaginary part of a
@@ -38,7 +39,6 @@ sequential, unmirrored run gives.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -230,11 +230,10 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
 
     Refuses to run when the fastest oscillation is resolved by fewer than 20
     grid points per period, since the fitted slope would then be quadrature
-    noise rather than decay.  The calling thread and a helper thread run one
-    loop: claim the next h from a shared queue under a lock, then compute its
-    quadrature in the thread's own scratch buffer.  A thread leaving its loop,
-    at the queue's end or by a failure, sets `stop` under the lock, so no h is
-    claimed after a failure; the error is raised after the helper is joined.
+    noise rather than decay.  The calling thread computes the quadratures of
+    h_0, h_2, ... and a helper thread those of h_1, h_3, ..., each in a scratch
+    buffer of its own.  A failure on either thread is raised once the helper
+    has finished its half and been joined.
 
     A phase exactly even or odd about the middle entry has each exp taken on
     half the grid and mirrored, conjugated when odd; the Simpson products and
@@ -275,24 +274,15 @@ def oscillatory_decay(problem: OscillatoryProblem) -> OscillatoryDecay:
     weighted *= dx / 3.0
     weighted *= problem.amplitude
     own, spare = np.empty(grid.shape, complex), np.empty(grid.shape, complex)
-    mags, todo = [None] * len(hbars), iter(range(len(hbars)))
-    lock, stop = threading.Lock(), []  # stop: nonempty once either thread left its loop
+    mags = [None] * len(hbars)
 
-    def work(terms):
-        try:
-            while True:
-                with lock:  # check and claim at once, so no claim follows a failure
-                    i = None if stop else next(todo, None)
-                if i is None:
-                    return
-                mags[i] = _simpson_sum(weighted, problem.phase, hbars[i], terms, mirror)
-        finally:
-            with lock:
-                stop.append(None)
+    def work(indices, terms):
+        for i in indices:
+            mags[i] = _simpson_sum(weighted, problem.phase, hbars[i], terms, mirror)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(work, spare)
-        work(own)
+        helper = pool.submit(work, range(1, len(hbars), 2), spare)
+        work(range(0, len(hbars), 2), own)
         helper.result()
 
     usable = [(math.log(h), math.log(m)) for h, m in zip(hbars, mags) if m > 0]

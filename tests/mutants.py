@@ -12,7 +12,8 @@ is made in the copy, and `pytest -x -q <test> <module>` runs against it: the
 known test first, then, if it passes, the whole module, so the check stays
 module-wide.  The mutant is killed when pytest reports failed tests or errors.
 A mutant whose pytest runs past MUTANT_TIMEOUT_S, such as one that makes a
-loop never end, is stopped there and counted as detected, apart from the kills.
+loop never end, is stopped there and counts as not killed: a hang is caught,
+but only a failing test detects a mutant.
 Two mutants run at a time.  Each pytest process runs in its mutant's
 temporary directory, so Hypothesis keeps its example database there and a
 failure that one mutant saves is never replayed by another or by tier-1.
@@ -20,8 +21,8 @@ All pytest processes of one run share a bytecode cache (PYTHONPYCACHEPREFIX)
 in a temporary directory that is removed when the run ends, so the plugins and
 test modules are compiled and assert-rewritten once, not once per mutant.
 One line per mutant is printed in list order, with the first test that
-failed or the timeout, and a summary line with the timeouts and the total
-seconds; the exit code is 1 if any mutant survived or could not be applied.
+failed or the timeout, and a summary line with the kills and the total
+seconds; the exit code is 1 unless every mutant was killed.
 A reader that closes stdout early, such as `| head -n 1`, ends the run at
 once: no further mutant starts, the pytest runs already going are killed with
 their process groups, and the exit code is 1, without a traceback.
@@ -102,37 +103,24 @@ MUTANTS = {
         "    return True\n",
         "tests/test_rigidity.py::test_verify_solution_rejects_a_wrong_optimum",
     ),
-    "claim without the stop check": (
-        "cotlar_stein.py",
-        "i = None if stop else next(todo, None)",
-        "i = next(todo, None)",
-        "tests/test_cotlar_stein.py::test_validation_suite_worker_exception_propagates_and_joins",
-    ),
-    "failure that does not set stop": (
-        "cotlar_stein.py",
-        "                stop.append(None)\n",
-        # only a loop that ran out of h values sets it
-        "                stop.extend([None] if i is None else [])\n",
-        "tests/test_cotlar_stein.py::test_validation_suite_worker_exception_propagates_and_joins",
-    ),
     "one scratch buffer for both threads": (
         "cotlar_stein.py",
-        "helper = pool.submit(work, spare)",
-        "helper = pool.submit(work, own)",
+        "helper = pool.submit(work, range(1, len(hbars), 2), spare)",
+        "helper = pool.submit(work, range(1, len(hbars), 2), own)",
         "tests/test_cotlar_stein.py::test_decay_check_threads_write_to_different_buffers",
     ),
     "helper.result() dropped": (
         "cotlar_stein.py",
-        "        work(own)\n        helper.result()\n",
-        "        work(own)\n",
+        "        work(range(0, len(hbars), 2), own)\n        helper.result()\n",
+        "        work(range(0, len(hbars), 2), own)\n",
         "tests/test_cotlar_stein.py::test_validation_suite_worker_exception_propagates_and_joins",
     ),
     "each thread walks the whole ladder": (
         "cotlar_stein.py",
-        "    def work(terms):\n",
-        "    def work(terms):\n        todo = iter(range(len(hbars)))\n",
+        "pool.submit(work, range(1, len(hbars), 2),",
+        "pool.submit(work, range(len(hbars)),",
         "tests/test_cotlar_stein.py::"
-        "test_quadrature_matches_one_expression_oracle_bit_for_bit[nonstationary]",
+        "test_quadrature_matches_one_expression_oracle_bit_for_bit[long-ladder]",
     ),
     "odd phase mirrored without negating the imaginary part": (
         "cotlar_stein.py",
@@ -381,7 +369,7 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
         return 2
     names = names or list(MUTANTS)
-    failed, timeouts, begin = 0, 0, time.perf_counter()
+    failed, begin = 0, time.perf_counter()
     children = Children()
     if hasattr(select, "poll"):
         threading.Thread(target=stop_when_reader_leaves, args=(children,), daemon=True).start()
@@ -395,12 +383,11 @@ def main(names: list[str]) -> int:
 
         try:
             for name, (outcome, seconds) in zip(names, pool.map(timed, names)):
-                timeouts += outcome == TIMED_OUT
-                failed += not outcome.startswith("killed") and outcome != TIMED_OUT
+                failed += not outcome.startswith("killed")
                 print(f"{seconds:5.1f} s  {name}: {outcome}", flush=True)
             total = len(names)
-            print(f"{total - failed} of {total} mutants detected ({total - failed - timeouts} "
-                  f"killed, {timeouts} timed out) in {time.perf_counter() - begin:.1f} s", flush=True)
+            print(f"{total - failed} of {total} mutants killed in "
+                  f"{time.perf_counter() - begin:.1f} s", flush=True)
         except BrokenPipeError:
             # the reader left: start no further mutant, kill the pytest runs
             # already going, and point stdout at os.devnull so the

@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -253,8 +252,7 @@ def _perturbed_even_phase(x):
         (OscillatoryProblem.from_functions(lambda x: x, smooth_bump), True),
         (OscillatoryProblem.from_functions(lambda x: x**2 / 2.0, smooth_bump), True),
         (_problem_on(2**10 + 1, lambda x: np.sin(3 * x), smooth_bump, (0.2, 0.1, 0.05)), None),
-        # short quadratures on a long ladder, so that the helper thread and the
-        # calling thread each claim some of them, and not the same ones each call
+        # short quadratures on a long ladder, twenty on each thread
         (
             _problem_on(
                 2**10 + 1, lambda x: np.sin(3 * x), smooth_bump, tuple(np.geomspace(0.2, 0.05, 40))
@@ -297,7 +295,8 @@ def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem, mirrored,
     monkeypatch.undo()
     assert exp_sizes == [(size + 1) // 2 if mirrored else size] * len(problem.hbar_values)
     # repeated calls, concurrent on more threads than cores and with frequent
-    # switches, divide the ladder differently each time but give the same floats
+    # switches, interleave their quadratures differently each time but give the
+    # same floats
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -308,8 +307,8 @@ def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem, mirrored,
         sys.setswitchinterval(interval)
     if request.node.callspec.id != "long-ladder":
         return
-    # each h of the long ladder is computed exactly once, on the calling
-    # thread or on its one helper
+    # the calling thread computes h_0, h_2, ... in order, and its one helper
+    # h_1, h_3, ...: the split is fixed before any work starts
     seen = []
     quadrature = cotlar_stein._simpson_sum
 
@@ -319,8 +318,10 @@ def test_quadrature_matches_one_expression_oracle_bit_for_bit(problem, mirrored,
 
     monkeypatch.setattr(cotlar_stein, "_simpson_sum", recorded)
     assert oscillatory_decay(problem).magnitudes == expected
-    assert sorted(h for h, _ in seen) == sorted(problem.hbar_values)
-    assert len({thread for _, thread in seen}) <= 2
+    caller = threading.get_ident()
+    assert [h for h, thread in seen if thread == caller] == list(problem.hbar_values[0::2])
+    (helper,) = {thread for _, thread in seen} - {caller}
+    assert [h for h, thread in seen if thread == helper] == list(problem.hbar_values[1::2])
 
 
 @pytest.mark.parametrize(
@@ -423,31 +424,20 @@ def test_validation_suite_worker_exception_propagates_and_joins(monkeypatch):
     monkeypatch.undo()
 
     # a quadrature that fails on the calling thread, then one that fails on
-    # the decay check's helper thread: the other thread's quadrature in flight
-    # may finish, but none still queued may start after the failure
+    # the decay check's helper thread: the error is raised, and no thread is
+    # left running
     caller = threading.get_ident()
     for failing_thread in ("caller", "helper"):
-        failed = threading.Event()
-        late = []
 
         def quadrature(weighted, phase, h, terms, mirror):
-            late.append(failed.is_set())
-            on_caller = threading.get_ident() == caller
-            if on_caller == (failing_thread == "caller"):
-                failed.set()
+            if (threading.get_ident() == caller) == (failing_thread == "caller"):
                 raise RuntimeError(f"{failing_thread} failed")
-            # still running when the other thread fails; the caller waits for
-            # the helper, so that the helper gets a quadrature to fail on
-            if on_caller:
-                failed.wait(10)
-            time.sleep(0.05)
             return 1.0
 
         monkeypatch.setattr(cotlar_stein, "_simpson_sum", quadrature)
         with pytest.raises(RuntimeError, match=f"{failing_thread} failed"):
             run_validation_suite(0)
         assert threading.active_count() == threads
-        assert late and not any(late)
         monkeypatch.undo()
 
 
