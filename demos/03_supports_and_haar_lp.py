@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from haargap import (
-    build_type_a,
     enumerate_block_partitions,
     enumerate_symmetric_closed,
     extremal_vertex_report,
@@ -14,12 +13,12 @@ from haargap import (
 
 # Ergodic components of an invariant measure live on symmetric, addition-closed
 # root subsets.  For SL_3 there are exactly five.
-for s in enumerate_symmetric_closed(build_type_a(3)):
+for s in enumerate_symmetric_closed(3):
     print(f"  {s.label:<10} [{s.kind}]")
 
 # For SL_4 the count grows to 15; equal-size block partitions form the
 # sublist relevant to inner-type quotients.
-print("\nSL_4 generic supports:", len(enumerate_symmetric_closed(build_type_a(4))))
+print("\nSL_4 generic supports:", len(enumerate_symmetric_closed(4)))
 print("SL_4 block partitions:", [s.label for s in enumerate_block_partitions(4)])
 
 # The entropy game: minimize the Haar weight w_Δ subject to one entropy

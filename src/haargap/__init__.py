@@ -22,7 +22,6 @@ from .rigidity import (
     build_lp,
     default_test_directions,
     extremal_vertex_report,
-    extreme_direction,
     inner_weight_formula,
     lattice_supports,
     min_haar_weight,

@@ -32,6 +32,7 @@ from .rigidity import (
     BOUND_MODES,
     LATTICE_GENERIC,
     LATTICE_INNER,
+    LATTICES,
     VERTEX_NOTE,
     RigidityProblem,
     build_lp,
@@ -274,7 +275,7 @@ def _cmd_bound(args, inputs: dict) -> tuple[dict, list[str], int]:
 
 def _cmd_supports(args, inputs: dict) -> tuple[dict, list[str], int]:
     # printed in full below, so walked once here rather than once per use
-    sets = list(lattice_supports(args.n, args.lattice)[1])
+    sets = list(lattice_supports(args.n, args.lattice))
     supports = [{"label": render_label(s, kind := s.kind), "kind": kind} for s in sets]
     by_kind = dict(Counter(s["kind"] for s in supports))
     results = {"count": len(sets), "counts_by_kind": by_kind, "supports": supports}
@@ -407,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("supports", help="enumerate admissible supports")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lattice", choices=(LATTICE_GENERIC, LATTICE_INNER), default=LATTICE_GENERIC)
+    p.add_argument("--lattice", choices=LATTICES, default=LATTICE_GENERIC)
     common(p)
     p.set_defaults(handler=_cmd_supports)
 
     p = sub.add_parser("haar-lp", help="solve the Haar-weight linear program")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lattice", choices=(LATTICE_GENERIC, LATTICE_INNER), default=LATTICE_GENERIC)
+    p.add_argument("--lattice", choices=LATTICES, default=LATTICE_GENERIC)
     p.add_argument("--beta", type=_argument(parse_rational), required=True)
     p.add_argument("--bound-mode", choices=BOUND_MODES, default=BOUND_MODES[0])
     p.add_argument("--direction", type=_argument(parse_direction), action="append", default=None,

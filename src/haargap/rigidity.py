@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import simplex
 from .entropy import _scaled, entropy_lower_bound, haar_entropy
-from .roots import CartanElement, RootSystem, build_type_a, cartan, weyl_orbit
+from .roots import CartanElement, build_type_a, cartan, weyl_orbit
 from .supports import (
     Partition,
     enumerate_block_partitions,
@@ -36,21 +36,20 @@ BOUND_MODES = (BOUND_HAAR_FRACTION, BOUND_THM14)
 
 LATTICE_GENERIC = "generic"
 LATTICE_INNER = "inner"
+LATTICES = (LATTICE_GENERIC, LATTICE_INNER)
 
 _ZERO = Fraction(0)
 
 
-def lattice_supports(n: int, lattice: str) -> tuple[RootSystem, Iterable[Partition]]:
-    """SL_n's root system and the lattice class's supports: generic, the sorted
-    tuple of every set partition; inner, the lazy walk of the equal-size block
-    partitions, whose limits are checked before the root system is built."""
+def lattice_supports(n: int, lattice: str) -> Iterable[Partition]:
+    """The lattice class's supports for SL_n: generic, the sorted tuple of every
+    set partition; inner, the lazy walk of the equal-size block partitions.
+    An unknown class is refused before n is checked."""
     if lattice == LATTICE_GENERIC:
-        rs = build_type_a(n)
-        return rs, tuple(enumerate_symmetric_closed(rs))
+        return tuple(enumerate_symmetric_closed(n))
     if lattice == LATTICE_INNER:
-        supports = enumerate_block_partitions(n)
-        return build_type_a(n), supports
-    raise ValueError(f"unknown lattice class {lattice!r}; expected 'generic' or 'inner'")
+        return enumerate_block_partitions(n)
+    raise ValueError(f"unknown lattice class {lattice!r}; expected one of {LATTICES}")
 
 
 @dataclass(frozen=True)
@@ -129,18 +128,19 @@ def build_lp(problem: RigidityProblem) -> LPModel:
     """
     if problem.n < 3:
         raise ValueError(f"need n >= 3, got n={problem.n}")
-    rs, supports = lattice_supports(problem.n, problem.lattice)
+    supports = lattice_supports(problem.n, problem.lattice)
     directions = problem.test_directions or default_test_directions(problem.n)
     if problem.bound_mode not in BOUND_MODES:
         raise ValueError(f"unknown bound mode {problem.bound_mode!r}; expected one of {BOUND_MODES}")
     if not (0 <= problem.beta <= 1):
         raise ValueError(f"beta must lie in [0, 1], got {problem.beta}")
     for X in directions:
-        if X.n != rs.n:
-            raise ValueError(f"test direction has n={X.n}, root system has n={rs.n}")
+        if X.n != problem.n:
+            raise ValueError(f"test direction has n={X.n}, root system has n={problem.n}")
         if X.is_zero():
             raise ValueError("test directions must be nonzero")
 
+    rs = build_type_a(problem.n)
     scaled, denoms = zip(*(_scaled(rs, X) for X in directions))
     pairs = list(itertools.combinations(range(rs.n), 2))
     # no support's cap exceeds Δ's, the sum over all pairs, so a lane as wide
@@ -232,13 +232,10 @@ def verify_solution(model: LPModel, solution: LPSolution) -> bool:
     return value == solution.optimum
 
 
-def extreme_direction(n: int) -> CartanElement:
-    """The direction diag(n-1, -1, ..., -1) whose positive exponents are all equal."""
-    return cartan(n - 1, *([-1] * (n - 1)))
-
-
 def default_test_directions(n: int) -> tuple[CartanElement, ...]:
-    return weyl_orbit(extreme_direction(n))
+    """The Weyl orbit of diag(n-1, -1, ..., -1), whose positive exponents are
+    all equal; that dominant direction comes first."""
+    return weyl_orbit(cartan(n - 1, *([-1] * (n - 1))))
 
 
 def solve_min_haar(

@@ -8,10 +8,11 @@ partition of {1..n}, and both enumerations walk set partitions: all of them
 for the generic lattice, those with equal-size blocks for inner forms.  Which
 positions can join the first in its block depends only on how many elements
 are left, so a walk cuts by a table of splits per length, built on the first
-walk with its lengths and block sizes and kept for later ones.  The generic
-supports (at most Bell(6) = 203) come as a list sorted by their roots; the
-inner ones (32 034 at n = 12) as a lazy walk that is taken afresh on each
-iteration, so a reader that makes one pass never holds them all.
+walk with its lengths and block sizes and kept for later ones.  Both walks
+read n alone and refuse an n outside 2..their limit.  The generic supports
+(at most Bell(6) = 203) come as a list sorted by their roots; the inner ones
+(32 034 at n = 12) as a lazy walk that is taken afresh on each iteration, so
+a reader that makes one pass never holds them all.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .roots import CapacityError, RootSystem
+from .roots import CapacityError
 
-GENERIC_POSITIVE_ROOT_LIMIT = 15
+SET_PARTITION_LIMIT = 6
 BLOCK_PARTITION_LIMIT = 12
 
 KIND_EMPTY = "empty"
@@ -103,20 +104,24 @@ def _partitions(rest: tuple, splits: dict, prefix: tuple):
             yield from _partitions(left(rest), splits, (*prefix, block(rest)))
 
 
-def enumerate_symmetric_closed(rs: RootSystem) -> list[Partition]:
-    """All symmetric, addition-closed subsets of the root set.
+def _check_n(n: int, limit: int, walk: str) -> None:
+    """Refuse an n outside 2..limit: ValueError below 2, CapacityError above."""
+    if n < 2:
+        raise ValueError(f"invalid dimension n={n}; need n >= 2")
+    if n > limit:
+        raise CapacityError(f"n={n} exceeds the {walk} enumeration limit of {limit}")
+
+
+def enumerate_symmetric_closed(n: int) -> list[Partition]:
+    """All symmetric, addition-closed subsets of SL_n's root set.
 
     One per set partition of {1..n}, so Bell(n) of them; ordered by root
     count, then by the roots (i, j) inside the blocks, compared from the
-    largest down, so ∅ comes first and Δ last.
+    largest down, so ∅ comes first and Δ last.  n outside
+    2..SET_PARTITION_LIMIT is refused.
     """
-    npos = len(rs.positive_indices)
-    if npos > GENERIC_POSITIVE_ROOT_LIMIT:
-        raise CapacityError(
-            f"root system has {npos} positive roots; generic enumeration is "
-            f"limited to {GENERIC_POSITIVE_ROOT_LIMIT}"
-        )
-    sizes = range(1, rs.n + 1)
+    _check_n(n, SET_PARTITION_LIMIT, "set-partition")
+    sizes = range(1, n + 1)
     found = list(_partitions(tuple(sizes), _split_table(sizes, sizes), ()))
     found.sort(key=_roots_descending)
     return found
@@ -139,12 +144,7 @@ class BlockPartitions:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"invalid dimension n={self.n}; need n >= 2")
-        if self.n > BLOCK_PARTITION_LIMIT:
-            raise CapacityError(
-                f"n={self.n} exceeds the block-partition enumeration limit of {BLOCK_PARTITION_LIMIT}"
-            )
+        _check_n(self.n, BLOCK_PARTITION_LIMIT, "block-partition")
 
     def __iter__(self):
         elements = tuple(range(1, self.n + 1))

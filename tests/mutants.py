@@ -249,11 +249,11 @@ MUTANTS = {
         "@functools.lru_cache(maxsize=0)\n",
         "tests/test_supports.py::test_a_second_walk_builds_no_split_table",
     ),
-    "BlockPartitions without its limit check": (
+    "support walks without their limit check": (
         "supports.py",
-        "        if self.n > BLOCK_PARTITION_LIMIT:\n",
-        "        if False:\n",
-        "tests/test_supports.py::test_block_partitions_input_validation",
+        "    if n > limit:\n",
+        "    if False:\n",
+        "tests/test_supports.py::test_each_walk_refuses_n_outside_two_to_its_limit",
     ),
     "validation executor never shut down": (
         "cotlar_stein.py",

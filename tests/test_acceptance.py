@@ -128,13 +128,13 @@ def test_criterion_5_entropy_property_suite():
 def test_criterion_6_support_enumeration():
     with criterion(6, "A_2 five supports; A_3 matches the 64-mask filter; block counts match"):
         rs3 = build_type_a(3)
-        got = enumerate_symmetric_closed(rs3)
+        got = enumerate_symmetric_closed(rs3.n)
         expected = {0, pair_mask(rs3, 1, 2), pair_mask(rs3, 1, 3), pair_mask(rs3, 2, 3), full_mask(rs3)}
         assert {mask_of(s) for s in got} == expected and len(got) == 5
 
         rs4 = build_type_a(4)
         independent = _independent_closure_filter_count(rs4)
-        assert len(enumerate_symmetric_closed(rs4)) == independent == 15
+        assert len(enumerate_symmetric_closed(rs4.n)) == independent == 15
 
         for n in range(2, 13):
             counts = {}

@@ -259,6 +259,24 @@ def test_supports_payload(capsys):
     assert payload["results"]["count"] == 27
 
 
+@pytest.mark.parametrize("lattice, n, count", [("generic", 5, 52), ("inner", 6, 27)])
+def test_supports_build_no_root_system(capsys, monkeypatch, lattice, n, count):
+    # the walks read n alone, so neither the command nor lattice_supports
+    # builds the root system
+    from haargap.rigidity import lattice_supports
+    from haargap.roots import RootSystem
+
+    built, init = [], RootSystem.__init__
+    monkeypatch.setattr(RootSystem, "__init__",
+                        lambda self, n: built.append(n) or init(self, n))
+    assert len(list(lattice_supports(n, lattice))) == count
+    code, payload = run_json(capsys, ["supports", "--n", str(n), "--lattice", lattice])
+    assert (code, payload["results"]["count"]) == (0, count)
+    assert built == []
+    cli.main(["roots", "--n", str(n)])  # the counter does see a build
+    assert built == [n]
+
+
 def test_invalid_direction_exit_code_and_trace_message(capsys):
     code = cli.main(["bound", "--n", "3", "--direction", "1,1,1"])
     assert code == 2

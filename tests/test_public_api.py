@@ -162,11 +162,9 @@ entropy_lower_bound: function, haargap.entropy
 enumerate_block_partitions: function, haargap.supports
     enumerate_block_partitions(n: 'int') -> 'BlockPartitions'
 enumerate_symmetric_closed: function, haargap.supports
-    enumerate_symmetric_closed(rs: 'RootSystem') -> 'list[Partition]'
+    enumerate_symmetric_closed(n: 'int') -> 'list[Partition]'
 extremal_vertex_report: function, haargap.rigidity
     extremal_vertex_report(solution: 'LPSolution') -> 'tuple[tuple[str, str, Fraction], ...]'
-extreme_direction: function, haargap.rigidity
-    extreme_direction(n: 'int') -> 'CartanElement'
 fast_slow_split: function, haargap.entropy
     fast_slow_split(spec: 'LyapunovSpectrum', K) -> 'FastSlowSplit'
 haar_entropy: function, haargap.entropy
@@ -176,7 +174,7 @@ inner_weight_formula: function, haargap.rigidity
 is_regular: function, haargap.roots
     is_regular(X: 'CartanElement') -> 'bool'
 lattice_supports: function, haargap.rigidity
-    lattice_supports(n: 'int', lattice: 'str') -> 'tuple[RootSystem, Iterable[Partition]]'
+    lattice_supports(n: 'int', lattice: 'str') -> 'Iterable[Partition]'
 lyapunov_spectrum: function, haargap.entropy
     lyapunov_spectrum(rs: 'RootSystem', X: 'CartanElement') -> 'LyapunovSpectrum'
 min_haar_weight: function, haargap.rigidity
@@ -201,7 +199,7 @@ verify_solution: function, haargap.rigidity
     verify_solution(model: 'LPModel', solution: 'LPSolution') -> 'bool'
 weyl_orbit: function, haargap.roots
     weyl_orbit(X: 'CartanElement') -> 'tuple[CartanElement, ...]'
-47 names, 33 dataclass fields, 41 function parameters
+46 names, 33 dataclass fields, 40 function parameters
 """
 
 

@@ -23,7 +23,6 @@ from haargap.rigidity import (
     build_lp,
     default_test_directions,
     extremal_vertex_report,
-    extreme_direction,
     inner_weight_formula,
     lattice_supports,
     min_haar_weight,
@@ -96,8 +95,7 @@ def assert_rows_are_entropy_caps(lattice: str, n: int, directions) -> None:
     cap, and the groups are those of the Fraction-keyed oracle."""
     model = build_lp(query(n, lattice, F(1, 2), directions=directions))
     assert model.directions == tuple(directions)
-    rs, walk = lattice_supports(n, lattice)
-    supports = tuple(walk)
+    rs, supports = build_type_a(n), tuple(lattice_supports(n, lattice))
     assert len(model.group_of) == len(supports)
     columns = [
         [component_entropy_cap(rs, s, X) for X in model.directions]
@@ -178,7 +176,7 @@ def walk_groups(n, lattice, directions):
     lcm L of X's denominators.  Each block's sums are taken once, and the
     Fractions are built once per distinct integer column, so inner n = 12's
     32 034 supports are read in about 0.3 s."""
-    supports = tuple(lattice_supports(n, lattice)[1])
+    supports = tuple(lattice_supports(n, lattice))
     scales = [math.lcm(*(c.denominator for c in X.coords)) for X in directions]
     xs = [[int(c * L) for c in X.coords] for X, L in zip(directions, scales)]
     caps = {}
@@ -318,7 +316,7 @@ def test_build_lp_refuses_in_order():
     cases = [
         (query(2, "outer", F(1, 2)), ValueError, "need n >= 3"),
         (query(3, "outer", F(1, 2), "nonsense"), ValueError, "unknown lattice"),
-        (query(7, "generic", F(1, 2), "nonsense"), CapacityError, "limited to 15"),
+        (query(7, "generic", F(1, 2), "nonsense"), CapacityError, "limit of 6"),
         (query(13, "inner", F(1, 2), "nonsense"), CapacityError, "limit of 12"),
         (query(3, "generic", F(3, 2), "nonsense"), ValueError, "bound mode"),
         (query(3, "generic", F(3, 2), directions=(cartan(0, 0, 0),)), ValueError, "beta"),
@@ -337,9 +335,7 @@ def test_lattice_supports_are_partitions_with_delta_once():
     # over every lattice class and n within the enumeration limits
     for lattice, sizes in (("generic", range(2, 7)), ("inner", range(2, 13))):
         for n in sizes:
-            rs, walk = lattice_supports(n, lattice)
-            supports = list(walk)
-            assert rs.n == n
+            supports = list(lattice_supports(n, lattice))
             assert all(type(s) is Partition for s in supports)
             assert supports.count(Partition((tuple(range(1, n + 1)),))) == 1
             assert supports[0] == Partition(tuple((i,) for i in range(1, n + 1)))
@@ -392,7 +388,7 @@ def test_solve_lp_single_support_families():
 @pytest.mark.parametrize("n", [3, 4])
 def test_solve_lp_beta_one_forces_full_weight(n):
     # every proper support has a strictly smaller cap at some test direction
-    rs, supports = lattice_supports(n, "generic")
+    rs, supports = build_type_a(n), lattice_supports(n, "generic")
     for s in supports:
         if s.kind == "full":
             continue
@@ -479,7 +475,7 @@ def test_orbit_sufficiency_inverse_flow():
     # adding the constraints of the inverse flow changes nothing: caps agree on
     # symmetric supports, so the extra rows duplicate existing ones
     for n in (3, 4):
-        rs, supports = lattice_supports(n, "generic")
+        rs, supports = build_type_a(n), lattice_supports(n, "generic")
         orbit = default_test_directions(n)
         m1 = build_lp(query(n, "generic", F(1, 2)))
         m2 = build_lp(query(n, "generic", F(1, 2), directions=orbit + tuple(map(negated, orbit))))
@@ -578,8 +574,8 @@ FEASIBILITY_CASES = st.sampled_from(
     beta=st.one_of(st.sampled_from([F(0), F(1)]), st.fractions(0, 1, max_denominator=12)),
     bound_mode=st.sampled_from(BOUND_MODES),
 )
-@example(case=(("generic", 5), [extreme_direction(5)]), beta=F(1), bound_mode=BOUND_HAAR_FRACTION)
-@example(case=(("inner", 8), [extreme_direction(8)]), beta=F(0), bound_mode=BOUND_HAAR_FRACTION)
+@example(case=(("generic", 5), [default_test_directions(5)[0]]), beta=F(1), bound_mode=BOUND_HAAR_FRACTION)
+@example(case=(("inner", 8), [default_test_directions(8)[0]]), beta=F(0), bound_mode=BOUND_HAAR_FRACTION)
 def test_every_built_lp_is_feasible_through_delta_alone(case, beta, bound_mode):
     # Δ's column is the Haar entropy h(X) and no right-hand side exceeds it,
     # so w_Δ = 1 meets every row: solve_lp never sees an infeasible model
@@ -650,7 +646,7 @@ def seeded_directions(rng, n, most=4):
     directions = []
     for _ in range(rng.randint(1, most)):
         if rng.random() < 0.5:
-            X = apply_permutation(extreme_direction(n), random_permutation(rng, n))
+            X = apply_permutation(default_test_directions(n)[0], random_permutation(rng, n))
             X = scaled(X, F(rng.randint(1, 9), rng.randint(1, 9)))
         else:
             X = random_trace_zero(rng, n)

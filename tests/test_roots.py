@@ -207,12 +207,12 @@ def test_build_type_a_dimension_limit():
 
 def test_root_system_is_built_from_n_alone():
     # RootSystem takes no roots from its caller, so its limits hold however
-    # it is built: n = 9's 36 positive roots are refused by the generic walk
+    # it is built; the generic walk reads n alone and refuses n = 9
     with pytest.raises(ValueError, match="n >= 2"):
         RootSystem(1)
     with pytest.raises(CapacityError, match="n <= 64"):
         RootSystem(ROOT_SYSTEM_MAX_N + 1)
-    with pytest.raises(CapacityError, match="36 positive roots"):
-        enumerate_symmetric_closed(RootSystem(9))
+    with pytest.raises(CapacityError, match="n=9 exceeds the set-partition enumeration limit of 6"):
+        enumerate_symmetric_closed(9)
     rs = RootSystem(4)
     assert (rs.n, rs.rank, rs.roots) == (4, 3, build_type_a(4).roots)

@@ -65,7 +65,7 @@ def independent_symmetric_closed_masks(n: int) -> list[int]:
 
 def test_a2_supports_exactly_five():
     rs = build_type_a(3)
-    got = enumerate_symmetric_closed(rs)
+    got = enumerate_symmetric_closed(rs.n)
     expected_masks = [
         0,
         pair_mask(rs, 1, 2),
@@ -79,12 +79,12 @@ def test_a2_supports_exactly_five():
 
 
 def test_a1_supports():
-    got = enumerate_symmetric_closed(build_type_a(2))
+    got = enumerate_symmetric_closed(2)
     assert [s.label for s in got] == ["∅", "Δ"]
 
 
 def test_a3_supports_fifteen_with_structure():
-    got = enumerate_symmetric_closed(build_type_a(4))
+    got = enumerate_symmetric_closed(4)
     assert len(got) == 15
     kinds = [s.kind for s in got]
     assert kinds.count("empty") == 1
@@ -99,19 +99,18 @@ def test_a3_supports_fifteen_with_structure():
 def test_symmetric_closed_counts_are_bell_numbers(n, bell):
     # admissible supports correspond to set partitions of {1..n}: i ~ j iff
     # the pair ±α_ij lies in R (symmetry + closure give transitivity)
-    assert len(enumerate_symmetric_closed(build_type_a(n))) == bell
+    assert len(enumerate_symmetric_closed(n)) == bell
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_symmetric_closed_matches_independent_filter(n):
-    got = [mask_of(s) for s in enumerate_symmetric_closed(build_type_a(n))]
+    got = [mask_of(s) for s in enumerate_symmetric_closed(n)]
     assert got == independent_symmetric_closed_masks(n)
 
 
 def test_enumeration_is_deterministic_and_ordered():
-    rs = build_type_a(4)
-    a = enumerate_symmetric_closed(rs)
-    b = enumerate_symmetric_closed(rs)
+    a = enumerate_symmetric_closed(4)
+    b = enumerate_symmetric_closed(4)
     assert a == b
     keys = [(m.bit_count(), m) for m in map(mask_of, a)]
     assert keys == sorted(keys)
@@ -119,9 +118,8 @@ def test_enumeration_is_deterministic_and_ordered():
 
 
 def test_capacity_error_names_limit():
-    rs = build_type_a(7)  # 21 positive roots
-    with pytest.raises(CapacityError, match="15"):
-        enumerate_symmetric_closed(rs)
+    with pytest.raises(CapacityError, match="limit of 6"):
+        enumerate_symmetric_closed(7)
 
 
 def test_block_partitions_small_n():
@@ -167,7 +165,7 @@ def test_block_partition_counts_match_formula(n):
 @pytest.mark.parametrize(
     "walk, count, calls, yields",
     [
-        (lambda: enumerate_symmetric_closed(build_type_a(6)), 203, 203, 674),
+        (lambda: enumerate_symmetric_closed(6), 203, 203, 674),
         (lambda: BlockPartitions(12), 32_034, 38_077, 142_232),
     ],
     ids=["generic-6", "inner-12"],
@@ -206,7 +204,7 @@ def test_generic_partition_walk_matches_the_recursive_oracle(n):
     walk = supports._partitions(tuple(sizes), supports._split_table(sizes, sizes), ())
     assert list(walk) == oracle
     oracle.sort(key=supports._roots_descending)
-    assert enumerate_symmetric_closed(build_type_a(n)) == oracle
+    assert enumerate_symmetric_closed(n) == oracle
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -230,6 +228,18 @@ def test_block_partitions_input_validation():
         enumerate_block_partitions(1)
     with pytest.raises(CapacityError, match="12"):
         enumerate_block_partitions(13)
+
+
+@pytest.mark.parametrize("walk, limit", [(enumerate_symmetric_closed, 6),
+                                         (enumerate_block_partitions, 12)],
+                         ids=["generic", "inner"])
+def test_each_walk_refuses_n_outside_two_to_its_limit(walk, limit):
+    # one shared check: ValueError below 2, CapacityError one past the limit
+    with pytest.raises(ValueError, match="need n >= 2"):
+        walk(1)
+    with pytest.raises(CapacityError, match=f"enumeration limit of {limit}$"):
+        walk(limit + 1)
+    assert len(walk(limit)) > 0
 
 
 def test_block_partitions_checks_its_limits_when_made():
@@ -257,7 +267,7 @@ def test_block_partitions_subset_of_generic(n):
     # exactly the generic supports in which every index has the same number of partners
     rs = build_type_a(n)
     uniform = set()
-    for s in enumerate_symmetric_closed(rs):
+    for s in enumerate_symmetric_closed(rs.n):
         partners = [0] * (n + 1)
         for k in support_indices(mask_of(s)):
             partners[rs.roots[k].i] += 1
@@ -305,7 +315,7 @@ def test_masks_outside_the_root_system_are_refused(mask):
 
 def test_closure_fixpoint():
     rs = build_type_a(4)
-    for s in enumerate_symmetric_closed(rs):
+    for s in enumerate_symmetric_closed(rs.n):
         assert closure_of(rs, mask_of(s)) == mask_of(s)
     # and closures of arbitrary masks are themselves closed
     probe = pair_mask(rs, 1, 2) | pair_mask(rs, 2, 3)
@@ -316,7 +326,7 @@ def test_closure_fixpoint():
 
 def test_make_support_labels_unicode_cases():
     rs = build_type_a(4)
-    three_one = enumerate_symmetric_closed(rs)[10]
+    three_one = enumerate_symmetric_closed(rs.n)[10]
     assert three_one.kind == "block-partition"
     assert three_one.label.startswith("blocks {")
     pair = make_support(rs, pair_mask(rs, 2, 4))
